@@ -20,10 +20,6 @@ class Sequence {
   bool empty() const { return residues_.empty(); }
   char operator[](std::size_t i) const { return residues_[i]; }
 
-  void set_id(std::string id) { id_ = std::move(id); }
-  void set_description(std::string d) { description_ = std::move(d); }
-  void set_residues(std::string r) { residues_ = std::move(r); }
-
   // True if every residue is one of the 20 standard amino acids.
   bool is_valid() const;
 

@@ -121,7 +121,6 @@ class CampaignService {
   CampaignService(const FoldUniverse& universe, PipelineConfig config, ServiceConfig service);
 
   const PipelineConfig& config() const { return config_; }
-  const ServiceConfig& service_config() const { return service_; }
 
   // Swap the dataflow backend every wave's stage maps run on (empty =
   // the default per-stage SimulatedExecutor). Set before run().

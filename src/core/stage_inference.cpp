@@ -185,7 +185,6 @@ StageWaveOutcome InferenceStage::run_subset(const StageContext& ctx,
     tr.hardness = rec.hardness;
     Rng rng(rec.record_seed, 0xEC0);
     const bool task_oom =
-        cfg.engine.enforce_memory_limit &&
         inference_memory_gb(rec.length(), cfg.preset.ensembles) > cfg.engine.memory_budget_gb;
     bool any_ok = false;
     for (std::size_t m = 0; m < 5; ++m) {

@@ -6,13 +6,21 @@
 #include "util/rng.hpp"
 
 namespace sf::dist {
+namespace {
+
+// Locality spill guard: a locality-preferred node whose queued cost
+// exceeds this many times the mean hands the task to the least-loaded
+// node instead (locality must not starve the rest of the allocation).
+constexpr double kSpillFactor = 4.0;
+
+}  // namespace
 
 std::vector<int> RequestCoordinator::route(const std::vector<TaskSpec>& batch,
                                            const std::vector<double>& duration_s,
                                            const std::vector<TaskLocality>& locality,
                                            const std::vector<int>& eligible,
                                            RoutingPolicy policy, std::uint64_t seed,
-                                           std::uint64_t round, double spill_factor,
+                                           std::uint64_t round,
                                            std::vector<double>& queued_cost) const {
   assert(!eligible.empty());
   std::vector<int> assignment(batch.size(), eligible.front());
@@ -56,7 +64,7 @@ std::vector<int> RequestCoordinator::route(const std::vector<TaskSpec>& batch,
         // Spill guard: locality never starves the allocation.
         const double mean = total_cost / static_cast<double>(eligible.size());
         if (mean > 0.0 &&
-            queued_cost[static_cast<std::size_t>(chosen)] > spill_factor * mean) {
+            queued_cost[static_cast<std::size_t>(chosen)] > kSpillFactor * mean) {
           int lightest = chosen;
           for (const int node : eligible) {
             if (queued_cost[static_cast<std::size_t>(node)] <
@@ -84,11 +92,6 @@ void RequestCoordinator::begin_round(RoundSetup setup) {
 void RequestCoordinator::drain() {
   Message msg;
   while (inbox_.try_pop(msg)) handle(msg);
-}
-
-std::set<int> RequestCoordinator::holders(const store::ArtifactKey& key) const {
-  const auto it = dir_.find(key);
-  return it == dir_.end() ? std::set<int>{} : it->second;
 }
 
 int RequestCoordinator::nearest_holder(const store::ArtifactKey& key, int requester) const {
@@ -124,11 +127,7 @@ void RequestCoordinator::handle(const Message& msg) {
   switch (msg.kind) {
     case MsgKind::kFetchRequest: {
       const int holder = nearest_holder(msg.key, msg.src);
-      Message out;
-      out.src = id_;
-      out.bytes = s_.cfg->control_message_bytes;
-      out.key = msg.key;
-      out.artifact_bytes = msg.artifact_bytes;
+      Message out{.src = id_, .key = msg.key, .artifact_bytes = msg.artifact_bytes};
       if (holder < 0) {
         out.kind = MsgKind::kFetchMiss;
         out.dst = msg.src;
@@ -144,13 +143,7 @@ void RequestCoordinator::handle(const Message& msg) {
       auto& holders = dir_[msg.key];
       for (const int prior : holders) {
         if (prior == msg.src) continue;
-        Message inv;
-        inv.kind = MsgKind::kInvalidate;
-        inv.src = id_;
-        inv.dst = prior;
-        inv.bytes = s_.cfg->control_message_bytes;
-        inv.key = msg.key;
-        s_.net->send(inv);
+        s_.net->send({.kind = MsgKind::kInvalidate, .src = id_, .dst = prior, .key = msg.key});
       }
       holders.clear();
       holders.insert(msg.src);
@@ -158,13 +151,6 @@ void RequestCoordinator::handle(const Message& msg) {
     }
     case MsgKind::kShareNotice: {
       dir_[msg.key].insert(msg.src);
-      return;
-    }
-    case MsgKind::kEvictNotice: {
-      const auto it = dir_.find(msg.key);
-      if (it == dir_.end()) return;
-      it->second.erase(msg.src);
-      if (it->second.empty()) dir_.erase(it);
       return;
     }
     case MsgKind::kNodeDown: {
@@ -180,13 +166,7 @@ void RequestCoordinator::handle(const Message& msg) {
       assert(target >= 0 && "the crash plan always spares one node");
       s_.queued_cost[static_cast<std::size_t>(target)] += (*s_.duration_s)[msg.task];
       ++s_.win->tasks_rerouted;
-      Message assign;
-      assign.kind = MsgKind::kTaskAssign;
-      assign.src = id_;
-      assign.dst = target;
-      assign.bytes = s_.cfg->control_message_bytes;
-      assign.task = msg.task;
-      s_.net->send(assign);
+      s_.net->send({.kind = MsgKind::kTaskAssign, .src = id_, .dst = target, .task = msg.task});
       return;
     }
     case MsgKind::kTaskDone: {

@@ -14,12 +14,16 @@
 // queued cost, then the lowest node id. Tasks with no resident needs
 // are load-balanced (least queued cost). A spill guard keeps locality
 // from starving the allocation: when the preferred node's queue exceeds
-// spill_factor x the mean, the task routes least-loaded instead.
+// a constant spill factor (4) x the mean, the task routes least-loaded
+// instead. One node's queue is at most N x the mean, so the guard can
+// act only on more than 4 nodes.
 //
 // Directory coherence states are implicit in the holder set:
 //   exclusive  {producer}        after kPutNotice (invalidates others)
 //   shared     {n1, n2, ...}     after kShareNotice (fetched copies)
-//   invalid    absent            after the last kEvictNotice/kNodeDown
+//   invalid    absent            after its last holder's kNodeDown
+// Replicas never evict, so a crash is the only thing that scrubs the
+// directory.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +40,7 @@ namespace sf::dist {
 class RequestCoordinator final : public Endpoint {
  public:
   struct RoundSetup {
-    SimEngine* engine = nullptr;
     NetworkHandler* net = nullptr;
-    const DistConfig* cfg = nullptr;
     WindowStats* win = nullptr;
     const std::vector<double>* duration_s = nullptr;
     std::vector<int> eligible;       // nodes with >= 1 worker this round
@@ -58,7 +60,7 @@ class RequestCoordinator final : public Endpoint {
                          const std::vector<double>& duration_s,
                          const std::vector<TaskLocality>& locality,
                          const std::vector<int>& eligible, RoutingPolicy policy,
-                         std::uint64_t seed, std::uint64_t round, double spill_factor,
+                         std::uint64_t seed, std::uint64_t round,
                          std::vector<double>& queued_cost) const;
 
   void begin_round(RoundSetup setup);
@@ -67,9 +69,6 @@ class RequestCoordinator final : public Endpoint {
   void drain() override;
 
   int id() const { return id_; }
-  const std::map<store::ArtifactKey, std::set<int>>& directory() const { return dir_; }
-  // Replica placement of one key (empty set = no holder).
-  std::set<int> holders(const store::ArtifactKey& key) const;
 
  private:
   void handle(const Message& msg);

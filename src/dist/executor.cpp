@@ -15,35 +15,27 @@ double unit_hash(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 constexpr std::uint64_t kCrashStream = 0xD157C4A5ULL;
 
+// Coordinator serialization between two consecutive kTaskAssigns.
+constexpr double kAssignStaggerS = 1e-3;
+
 }  // namespace
 
 DistCluster::DistCluster(const DistConfig& cfg) : cfg_(cfg), net_(cfg.network) {
   coordinator_.reset(cfg_.nodes);
   nodes_.reserve(static_cast<std::size_t>(cfg_.nodes));
-  for (int i = 0; i < cfg_.nodes; ++i) {
-    auto node = std::make_unique<NodeRuntime>(i);
-    node->configure_replica(cfg_.replica_capacity_bytes, cfg_.eviction);
-    nodes_.push_back(std::move(node));
-  }
+  for (int i = 0; i < cfg_.nodes; ++i) nodes_.push_back(std::make_unique<NodeRuntime>(i));
 }
 
-void DistCluster::begin_window(const std::string& label) {
-  windows_.emplace_back(label, WindowStats{});
-}
+void DistCluster::begin_window(const std::string& label) { windows_.push_back({.label = label}); }
 
 WindowStats& DistCluster::win() {
   if (windows_.empty()) begin_window("campaign");
-  return windows_.back().second;
-}
-
-const WindowStats& DistCluster::window_stats() const {
-  static const WindowStats kEmpty;
-  return windows_.empty() ? kEmpty : windows_.back().second;
+  return windows_.back();
 }
 
 WindowStats DistCluster::totals() const {
-  WindowStats total;
-  for (const auto& [label, w] : windows_) total.merge(w);
+  WindowStats total{.label = "total"};
+  for (const WindowStats& w : windows_) total.merge(w);
   return total;
 }
 
@@ -83,7 +75,7 @@ void DistCluster::run_round(const std::vector<TaskSpec>& batch,
   std::vector<double> queued_cost(static_cast<std::size_t>(cfg_.nodes), 0.0);
   const std::vector<int> assignment =
       coordinator_.route(batch, duration_s, locality, eligible, cfg_.routing, cfg_.seed, round,
-                         cfg_.spill_factor, queued_cost);
+                         queued_cost);
   std::vector<std::uint64_t> assigned(static_cast<std::size_t>(cfg_.nodes), 0);
   for (const int node : assignment) ++assigned[static_cast<std::size_t>(node)];
 
@@ -110,49 +102,40 @@ void DistCluster::run_round(const std::vector<TaskSpec>& batch,
   net_.begin_round(&engine, cfg_.nodes + 1, &w);
   net_.connect(coordinator_.id(), &coordinator_);
 
-  RequestCoordinator::RoundSetup cs;
-  cs.engine = &engine;
-  cs.net = &net_;
-  cs.cfg = &cfg_;
-  cs.win = &w;
-  cs.duration_s = &duration_s;
-  cs.eligible = eligible;
-  cs.queued_cost = queued_cost;
-  coordinator_.begin_round(std::move(cs));
+  coordinator_.begin_round({.net = &net_,
+                            .win = &w,
+                            .duration_s = &duration_s,
+                            .eligible = eligible,
+                            .queued_cost = queued_cost});
 
   // Every node joins the round -- a node with no workers this round
   // (a narrow pool sliced over a wide allocation) still serves fetches
   // from its replica; only eligible nodes receive task assignments.
   for (int i = 0; i < cfg_.nodes; ++i) {
-    NodeRuntime::RoundSetup ns;
-    ns.engine = &engine;
-    ns.net = &net_;
-    ns.cfg = &cfg_;
-    ns.win = &w;
-    ns.batch = &batch;
-    ns.duration_s = &duration_s;
-    ns.ok = &ok;
-    ns.locality = &locality;
-    ns.coordinator = coordinator_.id();
-    ns.dispatch_overhead_s = params.dispatch_overhead_s;
-    ns.workers = widths[static_cast<std::size_t>(i)];
-    ns.worker_speed = speed;
-    ns.crash = crash[static_cast<std::size_t>(i)] != 0;
-    ns.crash_after = crash_after[static_cast<std::size_t>(i)];
-    nodes_[static_cast<std::size_t>(i)]->begin_round(ns);
-    net_.connect(i, nodes_[static_cast<std::size_t>(i)].get());
+    const auto n = static_cast<std::size_t>(i);
+    nodes_[n]->begin_round({.engine = &engine,
+                            .net = &net_,
+                            .win = &w,
+                            .duration_s = &duration_s,
+                            .ok = &ok,
+                            .locality = &locality,
+                            .coordinator = coordinator_.id(),
+                            .dispatch_overhead_s = params.dispatch_overhead_s,
+                            .workers = widths[n],
+                            .worker_speed = speed,
+                            .crash = crash[n] != 0,
+                            .crash_after = crash_after[n]});
+    net_.connect(i, nodes_[n].get());
   }
 
   // The coordinator serializes assignments after pool startup, one
   // kTaskAssign per task in batch order.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    Message assign;
-    assign.kind = MsgKind::kTaskAssign;
-    assign.src = coordinator_.id();
-    assign.dst = assignment[i];
-    assign.bytes = cfg_.control_message_bytes;
-    assign.task = i;
-    engine.schedule_at(params.startup_s + static_cast<double>(i) * cfg_.assign_stagger_s,
+    const Message assign{.kind = MsgKind::kTaskAssign,
+                         .src = coordinator_.id(),
+                         .dst = assignment[i],
+                         .task = i};
+    engine.schedule_at(params.startup_s + static_cast<double>(i) * kAssignStaggerS,
                        [this, assign] { net_.send(assign); });
   }
 
@@ -163,56 +146,12 @@ void DistCluster::run_round(const std::vector<TaskSpec>& batch,
 }
 
 obs::DistTrace DistCluster::trace() const {
-  obs::DistTrace t;
-  t.topology = topology_name(cfg_.network.topology);
-  t.routing = routing_policy_name(cfg_.routing);
-  t.nodes = cfg_.nodes;
-  const auto to_window = [](const std::string& label, const WindowStats& w) {
-    obs::DistWindowTrace o;
-    o.label = label;
-    o.rounds = w.rounds;
-    o.tasks = w.tasks;
-    o.alt_tasks = w.alt_tasks;
-    o.messages = w.messages;
-    o.message_bytes = w.message_bytes;
-    o.network_s = w.network_s;
-    o.local_hits = w.local_hits;
-    o.migrations = w.migrations;
-    o.bytes_migrated = w.bytes_migrated;
-    o.recomputes = w.recomputes;
-    o.recompute_s = w.recompute_s;
-    o.invalidations = w.invalidations;
-    o.evictions = w.evictions;
-    o.bytes_evicted = w.bytes_evicted;
-    o.node_crashes = w.node_crashes;
-    o.tasks_rerouted = w.tasks_rerouted;
-    o.makespan_s = w.makespan_s;
-    return o;
-  };
-  t.totals = to_window("total", totals());
-  for (const auto& [label, w] : windows_) t.windows.push_back(to_window(label, w));
-  for (const auto& node : nodes_) {
-    const NodeStats& s = node->stats();
-    obs::DistNodeTrace n;
-    n.node = s.node;
-    n.workers = s.workers;
-    n.tasks = s.tasks;
-    n.busy_s = s.busy_s;
-    n.finish_s = s.finish_s;
-    n.local_hits = s.local_hits;
-    n.migrations_in = s.migrations_in;
-    n.migrations_out = s.migrations_out;
-    n.recomputes = s.recomputes;
-    n.evictions = s.evictions;
-    n.invalidations = s.invalidations;
-    n.bytes_in = s.bytes_in;
-    n.bytes_out = s.bytes_out;
-    n.crashes = s.crashes;
-    n.replica_entries = node->replica().size();
-    n.replica_bytes = node->replica().live_bytes();
-    t.node_spans.push_back(n);
-  }
-  return t;
+  return {.topology = topology_name(cfg_.network.topology),
+          .routing = routing_policy_name(cfg_.routing),
+          .nodes = cfg_.nodes,
+          .totals = totals(),
+          .windows = windows_,
+          .node_spans = node_stats()};
 }
 
 // ------------------------------------------------------------------ //

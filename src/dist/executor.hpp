@@ -2,7 +2,7 @@
 //
 // The paper's deployment spanned 1,000+ Summit nodes; this backend
 // makes that scale a first-class simulated object. A DistCluster owns
-// the persistent distributed state -- one StoreReplica per node, the
+// the persistent distributed state -- one replica per node, the
 // coordinator's coherence directory, per-window transfer counters --
 // and a DistributedExecutor is the per-stage facade that runs each
 // map() round through the coordinator/node/network simulation.
@@ -46,15 +46,12 @@ class DistCluster {
   const DistConfig& config() const { return cfg_; }
   int nodes() const { return cfg_.nodes; }
 
-  // Open a new stats window (one per stage, mirroring the artifact
-  // store's begin_stage). Counters accumulate into the current window.
+  // Open a new stats window (one per stage, like the artifact store's
+  // begin_stage). Counters accumulate into the current window.
   void begin_window(const std::string& label);
-  const WindowStats& window_stats() const;  // current window
-  WindowStats totals() const;               // all windows merged
-  const std::vector<std::pair<std::string, WindowStats>>& windows() const { return windows_; }
+  WindowStats totals() const;  // all windows merged, labelled "total"
+  const std::vector<WindowStats>& windows() const { return windows_; }
   std::vector<NodeStats> node_stats() const;
-  const RequestCoordinator& coordinator() const { return coordinator_; }
-  NodeRuntime& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
 
   // Simulate one primary-pool round: route, assign, fetch/recompute,
   // run, produce. `duration_s` are the canonical modeled durations
@@ -67,7 +64,8 @@ class DistCluster {
   // counted so windows account for every attempt.
   void note_alt_round(std::size_t tasks);
 
-  // The sfDist trace section (obs mirror of windows + node spans).
+  // The sfDist trace section: the configuration, the windows and their
+  // totals, and each node's stats.
   obs::DistTrace trace() const;
 
  private:
@@ -77,7 +75,7 @@ class DistCluster {
   NetworkHandler net_;
   RequestCoordinator coordinator_;
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
-  std::vector<std::pair<std::string, WindowStats>> windows_;
+  std::vector<WindowStats> windows_;
   std::uint64_t rounds_run_ = 0;
 };
 

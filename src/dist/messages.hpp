@@ -22,9 +22,11 @@
 //   * -> N  kFetchMiss     nobody holds `key`; recompute locally
 //   N -> C  kPutNotice     produced `key` (directory: exclusive owner)
 //   N -> C  kShareNotice   cached a fetched copy of `key` (shared)
-//   N -> C  kEvictNotice   replica evicted `key`
 //   C -> N  kInvalidate    drop your stale copy of `key`
 //   N -> C  kNodeDown      node crashed; forget its holdings
+//
+// Every message but kFetchReply is a fixed-size control message; the
+// reply pays the artifact's bytes on the wire.
 #pragma once
 
 #include <cstddef>
@@ -44,19 +46,21 @@ enum class MsgKind {
   kFetchMiss,
   kPutNotice,
   kShareNotice,
-  kEvictNotice,
   kInvalidate,
   kNodeDown,
 };
+
+// Wire size of a control (non-payload) message.
+constexpr double kControlMessageBytes = 256.0;
 
 struct Message {
   MsgKind kind = MsgKind::kTaskAssign;
   int src = -1;
   int dst = -1;
-  double bytes = 0.0;      // wire size the network prices
-  std::size_t task = 0;    // round-local task index (assign/return/done)
-  store::ArtifactKey key;  // coherence-traffic subject
-  int requester = -1;      // original requester (kFetchForward)
+  double bytes = kControlMessageBytes;  // wire size the network prices
+  std::size_t task = 0;                 // round-local task index (assign/return/done)
+  store::ArtifactKey key{};             // coherence-traffic subject
+  int requester = -1;                   // original requester (kFetchForward)
   // Size of the artifact under negotiation: a fetch request/forward is
   // a small control message *about* a large artifact; only the reply
   // pays the artifact's bytes on the wire.
@@ -77,9 +81,6 @@ class Channel {
     queue_.pop_front();
     return true;
   }
-
-  bool empty() const { return queue_.empty(); }
-  std::size_t size() const { return queue_.size(); }
 
  private:
   std::deque<T> queue_;

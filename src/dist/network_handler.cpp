@@ -15,15 +15,11 @@ void NetworkHandler::connect(int id, Endpoint* endpoint) {
   endpoints_by_id_[static_cast<std::size_t>(id)] = endpoint;
 }
 
-double NetworkHandler::price(int from, int to, double bytes) const {
-  return model_.message_seconds(from, to, endpoints_, bytes);
-}
-
 int NetworkHandler::hops(int from, int to) const { return model_.hops(from, to, endpoints_); }
 
 void NetworkHandler::send(const Message& msg) {
   assert(engine_ != nullptr);
-  const double seconds = price(msg.src, msg.dst, msg.bytes);
+  const double seconds = model_.message_seconds(msg.src, msg.dst, endpoints_, msg.bytes);
   ++win_->messages;
   win_->message_bytes += msg.bytes;
   win_->network_s += seconds;

@@ -43,9 +43,8 @@ class NetworkHandler {
 
   // Price, count, and schedule delivery of one message.
   void send(const Message& msg);
-  // Latency a message would pay (used by routing to find the nearest
-  // holder without generating traffic).
-  double price(int from, int to, double bytes) const;
+  // Switch hops between two endpoints (the coordinator's nearest-holder
+  // choice; no traffic generated).
   int hops(int from, int to) const;
 
  private:

@@ -3,6 +3,12 @@
 #include <cassert>
 
 namespace sf::dist {
+namespace {
+
+// Holder-side lookup and serialization before a kFetchReply leaves.
+constexpr double kFetchServeS = 1e-4;
+
+}  // namespace
 
 void NodeRuntime::begin_round(const RoundSetup& setup) {
   s_ = setup;
@@ -21,6 +27,13 @@ void NodeRuntime::drain() {
   while (inbox_.try_pop(msg)) handle(msg);
 }
 
+NodeStats NodeRuntime::stats() const {
+  NodeStats out = stats_;
+  out.replica_entries = replica_.size();
+  out.replica_bytes = replica_bytes_;
+  return out;
+}
+
 const ArtifactRef* NodeRuntime::need_ref(std::size_t task, const store::ArtifactKey& key) const {
   for (const ArtifactRef& ref : (*s_.locality)[task].needs) {
     if (ref.key == key) return &ref;
@@ -28,18 +41,22 @@ const ArtifactRef* NodeRuntime::need_ref(std::size_t task, const store::Artifact
   return nullptr;
 }
 
+int NodeRuntime::take_waiter(const store::ArtifactKey& key) {
+  const auto it = waiting_.find(key);
+  assert(it != waiting_.end() && !it->second.empty());
+  const int worker = it->second.front();
+  it->second.pop_front();
+  if (it->second.empty()) waiting_.erase(it);
+  return worker;
+}
+
 void NodeRuntime::handle(const Message& msg) {
   switch (msg.kind) {
     case MsgKind::kTaskAssign: {
       if (dead_) {
         // Assigned after the drain-stop: bounce straight back.
-        Message ret;
-        ret.kind = MsgKind::kTaskReturn;
-        ret.src = id();
-        ret.dst = s_.coordinator;
-        ret.bytes = s_.cfg->control_message_bytes;
-        ret.task = msg.task;
-        s_.net->send(ret);
+        s_.net->send({.kind = MsgKind::kTaskReturn, .src = id(), .dst = s_.coordinator,
+                      .task = msg.task});
         return;
       }
       queue_.push_back(msg.task);
@@ -48,38 +65,27 @@ void NodeRuntime::handle(const Message& msg) {
     }
     case MsgKind::kFetchForward: {
       if (!replica_.contains(msg.key)) {
-        // The directory was stale (eviction or crash in flight): the
-        // requester recomputes, exactly as if nobody had held the key.
-        Message miss;
-        miss.kind = MsgKind::kFetchMiss;
-        miss.src = id();
-        miss.dst = msg.requester;
-        miss.bytes = s_.cfg->control_message_bytes;
-        miss.key = msg.key;
-        s_.net->send(miss);
+        // The directory was stale (an invalidation or a crash in
+        // flight): the requester recomputes, exactly as if nobody had
+        // held the key.
+        s_.net->send({.kind = MsgKind::kFetchMiss, .src = id(), .dst = msg.requester,
+                      .key = msg.key});
         return;
       }
-      replica_.touch(msg.key);  // serving a copy is a use
       ++stats_.migrations_out;
       stats_.bytes_out += msg.artifact_bytes;
-      Message reply;
-      reply.kind = MsgKind::kFetchReply;
-      reply.src = id();
-      reply.dst = msg.requester;
-      reply.bytes = msg.artifact_bytes;  // the payload pays its bytes
-      reply.key = msg.key;
-      reply.artifact_bytes = msg.artifact_bytes;
-      const Message to_send = reply;
-      s_.engine->schedule_after(s_.cfg->fetch_serve_s,
-                                [net = s_.net, to_send] { net->send(to_send); });
+      // The payload pays its bytes on the wire.
+      const Message reply{.kind = MsgKind::kFetchReply,
+                          .src = id(),
+                          .dst = msg.requester,
+                          .bytes = msg.artifact_bytes,
+                          .key = msg.key,
+                          .artifact_bytes = msg.artifact_bytes};
+      s_.engine->schedule_after(kFetchServeS, [net = s_.net, reply] { net->send(reply); });
       return;
     }
     case MsgKind::kFetchReply: {
-      const auto wit = waiting_.find(msg.key);
-      assert(wit != waiting_.end() && !wit->second.empty());
-      const int worker = wit->second.front();
-      wit->second.pop_front();
-      if (wit->second.empty()) waiting_.erase(wit);
+      const int worker = take_waiter(msg.key);
       Flight& f = flights_[static_cast<std::size_t>(worker)];
       ++stats_.migrations_in;
       stats_.bytes_in += msg.artifact_bytes;
@@ -94,26 +100,23 @@ void NodeRuntime::handle(const Message& msg) {
       return;
     }
     case MsgKind::kFetchMiss: {
-      const auto wit = waiting_.find(msg.key);
-      assert(wit != waiting_.end() && !wit->second.empty());
-      const int worker = wit->second.front();
-      wit->second.pop_front();
-      if (wit->second.empty()) waiting_.erase(wit);
+      const int worker = take_waiter(msg.key);
       Flight& f = flights_[static_cast<std::size_t>(worker)];
       const ArtifactRef* ref = need_ref(f.task, msg.key);
       assert(ref != nullptr);
       f.extra_s += ref->recompute_s;
       f.recomputed.push_back(*ref);
       ++stats_.recomputes;
-      stats_.recompute_s += ref->recompute_s;
       ++s_.win->recomputes;
       s_.win->recompute_s += ref->recompute_s;
       if (--f.pending_fetches == 0) start_run(worker);
       return;
     }
     case MsgKind::kInvalidate: {
-      if (replica_.contains(msg.key)) {
-        replica_.erase(msg.key);
+      const auto it = replica_.find(msg.key);
+      if (it != replica_.end()) {
+        replica_bytes_ -= it->second;
+        replica_.erase(it);
         ++stats_.invalidations;
         ++s_.win->invalidations;
       }
@@ -134,7 +137,6 @@ void NodeRuntime::try_dispatch() {
     const int worker = *idle_.begin();
     idle_.erase(idle_.begin());
     Flight& f = flights_[static_cast<std::size_t>(worker)];
-    f.active = true;
     f.task = task;
     f.seized_s = s_.engine->now();
     f.pending_fetches = 0;
@@ -142,21 +144,14 @@ void NodeRuntime::try_dispatch() {
     f.recomputed.clear();
     for (const ArtifactRef& ref : (*s_.locality)[task].needs) {
       if (replica_.contains(ref.key)) {
-        replica_.touch(ref.key);
         ++stats_.local_hits;
         ++s_.win->local_hits;
         continue;
       }
       ++f.pending_fetches;
       waiting_[ref.key].push_back(worker);
-      Message req;
-      req.kind = MsgKind::kFetchRequest;
-      req.src = id();
-      req.dst = s_.coordinator;
-      req.bytes = s_.cfg->control_message_bytes;
-      req.key = ref.key;
-      req.artifact_bytes = ref.bytes;
-      s_.net->send(req);
+      s_.net->send({.kind = MsgKind::kFetchRequest, .src = id(), .dst = s_.coordinator,
+                    .key = ref.key, .artifact_bytes = ref.bytes});
     }
     if (f.pending_fetches == 0) start_run(worker);
   }
@@ -186,41 +181,21 @@ void NodeRuntime::complete(int worker) {
       insert_artifact(ref, /*exclusive=*/true);
     }
   }
-  Message done;
-  done.kind = MsgKind::kTaskDone;
-  done.src = id();
-  done.dst = s_.coordinator;
-  done.bytes = s_.cfg->control_message_bytes;
-  done.task = f.task;
-  s_.net->send(done);
-  f.active = false;
+  s_.net->send(
+      {.kind = MsgKind::kTaskDone, .src = id(), .dst = s_.coordinator, .task = f.task});
   idle_.insert(worker);
   try_dispatch();
 }
 
+// Place `ref` here (a re-insert refreshes its bytes) and announce it.
 void NodeRuntime::insert_artifact(const ArtifactRef& ref, bool exclusive) {
-  const std::vector<StoreReplica::Evicted> evicted =
-      replica_.insert(ref.key, ref.bytes, ref.recompute_s);
-  for (const StoreReplica::Evicted& victim : evicted) {
-    ++stats_.evictions;
-    stats_.bytes_evicted += victim.bytes;
-    ++s_.win->evictions;
-    s_.win->bytes_evicted += victim.bytes;
-    Message ev;
-    ev.kind = MsgKind::kEvictNotice;
-    ev.src = id();
-    ev.dst = s_.coordinator;
-    ev.bytes = s_.cfg->control_message_bytes;
-    ev.key = victim.key;
-    s_.net->send(ev);
-  }
-  Message notice;
-  notice.kind = exclusive ? MsgKind::kPutNotice : MsgKind::kShareNotice;
-  notice.src = id();
-  notice.dst = s_.coordinator;
-  notice.bytes = s_.cfg->control_message_bytes;
-  notice.key = ref.key;
-  s_.net->send(notice);
+  double& held = replica_[ref.key];
+  replica_bytes_ += ref.bytes - held;
+  held = ref.bytes;
+  s_.net->send({.kind = exclusive ? MsgKind::kPutNotice : MsgKind::kShareNotice,
+                .src = id(),
+                .dst = s_.coordinator,
+                .key = ref.key});
 }
 
 void NodeRuntime::maybe_crash() {
@@ -232,22 +207,13 @@ void NodeRuntime::die() {
   ++stats_.crashes;
   ++s_.win->node_crashes;
   replica_.clear();
+  replica_bytes_ = 0.0;
   for (const std::size_t task : queue_) {
-    Message ret;
-    ret.kind = MsgKind::kTaskReturn;
-    ret.src = id();
-    ret.dst = s_.coordinator;
-    ret.bytes = s_.cfg->control_message_bytes;
-    ret.task = task;
-    s_.net->send(ret);
+    s_.net->send(
+        {.kind = MsgKind::kTaskReturn, .src = id(), .dst = s_.coordinator, .task = task});
   }
   queue_.clear();
-  Message down;
-  down.kind = MsgKind::kNodeDown;
-  down.src = id();
-  down.dst = s_.coordinator;
-  down.bytes = s_.cfg->control_message_bytes;
-  s_.net->send(down);
+  s_.net->send({.kind = MsgKind::kNodeDown, .src = id(), .dst = s_.coordinator});
 }
 
 }  // namespace sf::dist

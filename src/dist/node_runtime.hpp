@@ -1,15 +1,19 @@
 // NodeRuntime: one compute node of the distributed executor.
 //
 // A node owns a slice of the stage pool's workers, a FIFO task queue
-// fed by coordinator kTaskAssign messages, and a StoreReplica holding
-// the artifacts placed on it. Dispatch seizes the lowest-numbered idle
-// worker for the queue head, resolves the task's artifact needs --
-// local replica hit, fetch from a remote holder (the worker waits for
-// the kFetchReply), or recompute when no replica holds the key -- then
-// runs the task for its canonical modeled duration plus any recompute
-// surcharge. Successful attempts insert their produced (and recomputed)
-// artifacts into the replica, announcing them to the coordinator's
-// directory; capacity evictions emit kEvictNotice per victim.
+// fed by coordinator kTaskAssign messages, and a replica: the set of
+// artifacts placed on it, each with its modeled bytes. The replica is
+// placement bookkeeping only, with no payload I/O and no capacity: the
+// real ArtifactStore stays the campaign's single durable truth (its
+// manifests are byte-frozen at any node count), and the distributed
+// layer models only *where* artifacts live. Dispatch seizes the
+// lowest-numbered idle worker for the queue head, resolves the task's
+// artifact needs -- local replica hit, fetch from a remote holder (the
+// worker waits for the kFetchReply), or recompute when no live replica
+// holds the key -- then runs the task for its canonical modeled
+// duration plus any recompute surcharge. Successful attempts insert
+// their produced (and recomputed) artifacts into the replica,
+// announcing them to the coordinator's directory.
 //
 // Node-crash fault class: a crashing node "drain-stops" after
 // completing a deterministic prefix of its queue -- in-flight work
@@ -28,7 +32,6 @@
 
 #include "dist/messages.hpp"
 #include "dist/network_handler.hpp"
-#include "dist/replica.hpp"
 #include "dist/types.hpp"
 
 namespace sf::dist {
@@ -38,9 +41,7 @@ class NodeRuntime final : public Endpoint {
   struct RoundSetup {
     SimEngine* engine = nullptr;
     NetworkHandler* net = nullptr;
-    const DistConfig* cfg = nullptr;
     WindowStats* win = nullptr;
-    const std::vector<TaskSpec>* batch = nullptr;
     const std::vector<double>* duration_s = nullptr;  // modeled, cost-scaled
     const std::vector<char>* ok = nullptr;
     const std::vector<TaskLocality>* locality = nullptr;
@@ -54,10 +55,6 @@ class NodeRuntime final : public Endpoint {
 
   explicit NodeRuntime(int id) { stats_.node = id; }
 
-  void configure_replica(std::uint64_t capacity_bytes, store::EvictionPolicy policy) {
-    replica_.configure(capacity_bytes, policy);
-  }
-
   // Reset per-round scheduling state; the replica and lifetime stats
   // persist across rounds and stage windows.
   void begin_round(const RoundSetup& setup);
@@ -65,15 +62,12 @@ class NodeRuntime final : public Endpoint {
   Channel<Message>& inbox() override { return inbox_; }
   void drain() override;
 
-  const NodeStats& stats() const { return stats_; }
-  const StoreReplica& replica() const { return replica_; }
-  StoreReplica& replica() { return replica_; }
-  bool dead() const { return dead_; }
+  // Lifetime counters plus the replica's current entries and bytes.
+  NodeStats stats() const;
   int id() const { return stats_.node; }
 
  private:
   struct Flight {
-    bool active = false;
     std::size_t task = 0;
     double seized_s = 0.0;  // when the worker was taken
     int pending_fetches = 0;
@@ -82,6 +76,7 @@ class NodeRuntime final : public Endpoint {
   };
 
   void handle(const Message& msg);
+  int take_waiter(const store::ArtifactKey& key);
   void try_dispatch();
   void start_run(int worker);
   void complete(int worker);
@@ -90,7 +85,9 @@ class NodeRuntime final : public Endpoint {
   void insert_artifact(const ArtifactRef& ref, bool exclusive);
   const ArtifactRef* need_ref(std::size_t task, const store::ArtifactKey& key) const;
 
-  StoreReplica replica_;
+  // The replica: key -> modeled bytes, and their running total.
+  std::map<store::ArtifactKey, double> replica_;
+  double replica_bytes_ = 0.0;
   NodeStats stats_;
   Channel<Message> inbox_;
   RoundSetup s_;

@@ -13,24 +13,4 @@ bool routing_policy_from_name(const std::string& name, RoutingPolicy& out) {
   return enum_from_name(name, kRoutingNames, out);
 }
 
-void WindowStats::merge(const WindowStats& o) {
-  rounds += o.rounds;
-  tasks += o.tasks;
-  alt_tasks += o.alt_tasks;
-  messages += o.messages;
-  message_bytes += o.message_bytes;
-  network_s += o.network_s;
-  local_hits += o.local_hits;
-  migrations += o.migrations;
-  bytes_migrated += o.bytes_migrated;
-  recomputes += o.recomputes;
-  recompute_s += o.recompute_s;
-  invalidations += o.invalidations;
-  evictions += o.evictions;
-  bytes_evicted += o.bytes_evicted;
-  node_crashes += o.node_crashes;
-  tasks_rerouted += o.tasks_rerouted;
-  makespan_s += o.makespan_s;
-}
-
 }  // namespace sf::dist

@@ -1,6 +1,8 @@
 // Shared value types of the distributed executor: configuration,
-// routing policies, locality hints, and the counter blocks every actor
-// (coordinator, nodes, network) accumulates into.
+// routing policies, locality hints, and the counter records every actor
+// (coordinator, nodes, network) accumulates into. The counter records
+// are obs's trace records themselves, so the sfDist trace section is
+// the counters as counted.
 //
 // Determinism contract: everything here is plain data. All randomness
 // in the subsystem (network jitter, random routing, crash draws) comes
@@ -14,8 +16,8 @@
 #include <vector>
 
 #include "dataflow/task.hpp"
+#include "obs/trace.hpp"
 #include "sim/network.hpp"
-#include "store/artifact_store.hpp"
 #include "store/key.hpp"
 
 namespace sf::dist {
@@ -53,65 +55,18 @@ struct DistConfig {
   NetworkModel network;
   RoutingPolicy routing = RoutingPolicy::kLocality;
   std::uint64_t seed = 0;
-  // Per-node replica placement budget (0 = unbounded) and its eviction
-  // policy -- same semantics as the artifact store's.
-  std::uint64_t replica_capacity_bytes = 0;
-  store::EvictionPolicy eviction = store::EvictionPolicy::kLru;
   // Probability a node drain-stops during a round (the node-crash fault
   // class): it finishes a deterministic prefix of its queue, returns
   // the rest to the coordinator, and its replica is lost.
   double node_crash_rate = 0.0;
-  double control_message_bytes = 256.0;  // protocol messages (non-payload)
-  double fetch_serve_s = 1e-4;           // holder-side lookup + serialize
-  double assign_stagger_s = 1e-3;        // coordinator serialization per assign
-  // Locality spill guard: if the locality-preferred node's queued cost
-  // exceeds spill_factor x the mean, route to the least-loaded node
-  // instead (locality must not starve the rest of the allocation).
-  double spill_factor = 4.0;
 };
 
-// Lifetime counters of one node (across every round the cluster ran).
-struct NodeStats {
-  int node = 0;
-  int workers = 0;  // width in the most recent round
-  int tasks = 0;
-  double busy_s = 0.0;
-  double finish_s = 0.0;
-  std::uint64_t local_hits = 0;
-  std::uint64_t migrations_in = 0;
-  std::uint64_t migrations_out = 0;
-  std::uint64_t recomputes = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;  // kInvalidate messages honored
-  double bytes_in = 0.0;
-  double bytes_out = 0.0;
-  double bytes_evicted = 0.0;
-  double recompute_s = 0.0;
-  int crashes = 0;
-};
+// Lifetime counters of one node (across every round the cluster ran);
+// the replica snapshot is filled in when the stats are read.
+using NodeStats = obs::DistNodeTrace;
 
-// Counters of one stage window (bracketed by DistCluster::begin_window,
-// mirroring the artifact store's begin_stage stats windows).
-struct WindowStats {
-  int rounds = 0;
-  int tasks = 0;      // tasks routed through the cluster
-  int alt_tasks = 0;  // alternate-pool attempts (not distributed)
-  std::uint64_t messages = 0;
-  double message_bytes = 0.0;
-  double network_s = 0.0;
-  std::uint64_t local_hits = 0;
-  std::uint64_t migrations = 0;
-  double bytes_migrated = 0.0;
-  std::uint64_t recomputes = 0;
-  double recompute_s = 0.0;
-  std::uint64_t invalidations = 0;
-  std::uint64_t evictions = 0;
-  double bytes_evicted = 0.0;
-  int node_crashes = 0;
-  int tasks_rerouted = 0;
-  double makespan_s = 0.0;  // summed round makespans
-
-  void merge(const WindowStats& o);
-};
+// Counters of one stage window (opened by DistCluster::begin_window,
+// one per stage, like the artifact store's begin_stage stats windows).
+using WindowStats = obs::DistWindowTrace;
 
 }  // namespace sf::dist

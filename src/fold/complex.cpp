@@ -73,9 +73,8 @@ bool ComplexEngine::combined_out_of_memory(const ProteinRecord& a, const Protein
                                            const PresetConfig& preset) const {
   // Memory scales with the combined length -- the practical ceiling on
   // complex screening that makes it "especially relevant to HPC".
-  return params_.engine.enforce_memory_limit &&
-         inference_memory_gb(a.length() + b.length(), preset.ensembles) >
-             params_.engine.memory_budget_gb;
+  return inference_memory_gb(a.length() + b.length(), preset.ensembles) >
+         params_.engine.memory_budget_gb;
 }
 
 ComplexPrediction ComplexEngine::predict_pair(const ProteinRecord& a, const ProteinRecord& b,

@@ -171,8 +171,7 @@ std::vector<Prediction> FoldingEngine::predict_models(const ProteinRecord& recor
   std::vector<Prediction> preds;
   preds.reserve(models.size());
   // Fast-fail before paying for the native build.
-  if (params_.enforce_memory_limit &&
-      inference_memory_gb(record.length(), preset.ensembles) > params_.memory_budget_gb) {
+  if (inference_memory_gb(record.length(), preset.ensembles) > params_.memory_budget_gb) {
     for (const auto& model : models) {
       Prediction pred;
       pred.model_id = model.model_id;

@@ -137,8 +137,7 @@ struct EngineParams {
   // Template bonus subtracted from h_eff when templates are available
   // and the model consumes them.
   double template_bonus = 0.06;
-  // Per-model memory enforcement (set false to emulate high-mem nodes).
-  bool enforce_memory_limit = true;
+  // Per-model memory budget: a prediction that needs more is an OOM.
   double memory_budget_gb = 16.0;
 };
 

@@ -24,9 +24,6 @@ struct Superposition {
   double rmsd = 0.0;
 
   Vec3 apply(const Vec3& p) const { return rotation * p + translation; }
-  void apply_inplace(std::vector<Vec3>& pts) const {
-    for (auto& p : pts) p = apply(p);
-  }
 };
 
 // Optimal superposition of `mobile` onto `target` (equal sizes, >= 1).

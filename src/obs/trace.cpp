@@ -9,6 +9,26 @@ namespace sf::obs {
 
 const char* span_fault_name(SpanFault fault) { return enum_name(kSpanFaultNames, fault); }
 
+void DistWindowTrace::merge(const DistWindowTrace& o) {
+  rounds += o.rounds;
+  tasks += o.tasks;
+  alt_tasks += o.alt_tasks;
+  messages += o.messages;
+  message_bytes += o.message_bytes;
+  network_s += o.network_s;
+  local_hits += o.local_hits;
+  migrations += o.migrations;
+  bytes_migrated += o.bytes_migrated;
+  recomputes += o.recomputes;
+  recompute_s += o.recompute_s;
+  invalidations += o.invalidations;
+  evictions += o.evictions;
+  bytes_evicted += o.bytes_evicted;
+  node_crashes += o.node_crashes;
+  tasks_rerouted += o.tasks_rerouted;
+  makespan_s += o.makespan_s;
+}
+
 StageTrace& TraceRecorder::current_stage() {
   if (doc_.stages.empty()) {
     // Emission without registration: open a visible fallback stage so

@@ -197,11 +197,14 @@ struct ClusterTrace {
 
 // Per-node span of a distributed-executor run (src/dist): how much of
 // the campaign one node computed, and what the coherence protocol moved
-// through it. Mirrors (rather than includes) dist's stats types so obs
-// keeps its util-only dependency surface.
+// through it. These dist records are dist's own counters, not mirrors:
+// each node counts straight into one (dist::NodeStats is this type), so
+// obs keeps its util-only dependency surface and the trace copies
+// nothing. Replicas never evict, so `evictions` stays 0; the field
+// keeps the trace format.
 struct DistNodeTrace {
   int node = 0;
-  int workers = 0;
+  int workers = 0;  // width in the most recent round
   int tasks = 0;
   double busy_s = 0.0;
   double finish_s = 0.0;
@@ -210,7 +213,7 @@ struct DistNodeTrace {
   std::uint64_t migrations_out = 0;
   std::uint64_t recomputes = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t invalidations = 0;
+  std::uint64_t invalidations = 0;  // kInvalidate messages honored
   double bytes_in = 0.0;
   double bytes_out = 0.0;
   int crashes = 0;
@@ -218,12 +221,14 @@ struct DistNodeTrace {
   double replica_bytes = 0.0;
 };
 
-// Transfer/coherence counters of one distributed stage window.
+// Transfer/coherence counters of one distributed stage window, counted
+// into directly by the cluster (dist::WindowStats is this type).
+// `evictions` and `bytes_evicted` stay 0, as in DistNodeTrace.
 struct DistWindowTrace {
   std::string label;
   int rounds = 0;
-  int tasks = 0;
-  int alt_tasks = 0;
+  int tasks = 0;      // tasks routed through the cluster
+  int alt_tasks = 0;  // alternate-pool attempts (not distributed)
   std::uint64_t messages = 0;
   double message_bytes = 0.0;
   double network_s = 0.0;
@@ -237,7 +242,10 @@ struct DistWindowTrace {
   double bytes_evicted = 0.0;
   int node_crashes = 0;
   int tasks_rerouted = 0;
-  double makespan_s = 0.0;
+  double makespan_s = 0.0;  // summed round makespans
+
+  // Add `o`'s counters to this window's; the label stays.
+  void merge(const DistWindowTrace& o);
 };
 
 // The distributed-execution section of a trace ("sfDist"): topology and
@@ -305,9 +313,6 @@ class TraceSink {
   // after its clustering and library scan).
   virtual void record_cluster(const ClusterTrace& cluster) { (void)cluster; }
 };
-
-// The explicit no-op sink (equivalent to passing no sink at all).
-class NullSink final : public TraceSink {};
 
 // Records canonical spans by replaying the DES dispatch arithmetic --
 // min-free-time worker, dispatch overhead, duration / speed -- at the

@@ -52,9 +52,6 @@ class ForceField {
   // Energy and gradient (dE/dx, kcal/mol/A); grad resized/overwritten.
   double energy_and_gradient(const std::vector<Vec3>& coords, std::vector<Vec3>& grad) const;
 
-  // The restraint centers (the input model's coordinates).
-  const std::vector<Vec3>& restraint_centers() const { return restraint_centers_; }
-
  private:
   struct Bond {
     int a;

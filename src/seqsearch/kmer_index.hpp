@@ -28,7 +28,6 @@ class KmerIndex {
 
   int k() const { return k_; }
   std::size_t indexed_sequences() const { return lengths_.size(); }
-  std::size_t indexed_kmers() const { return postings_.size(); }
 
   // Add one sequence; ids are assigned densely in insertion order.
   void add_sequence(std::string_view residues);

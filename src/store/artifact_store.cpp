@@ -6,6 +6,25 @@
 #include "util/string_util.hpp"
 
 namespace sf::store {
+namespace {
+
+// Where an entry stands in the eviction order.
+struct EvictionRank {
+  std::uint64_t seq = 0;   // insertion counter
+  std::uint64_t tick = 0;  // recency tick (== seq until touched)
+  double cost_density = 0.0;
+};
+
+// The victim order: true when `a` goes before `b` under `policy`.
+bool evicts_before(EvictionPolicy policy, const EvictionRank& a, const EvictionRank& b) {
+  if (policy == EvictionPolicy::kLru && a.tick != b.tick) return a.tick < b.tick;
+  if (policy == EvictionPolicy::kCostAware && a.cost_density != b.cost_density) {
+    return a.cost_density < b.cost_density;
+  }
+  return a.seq < b.seq;  // FIFO, and every tie
+}
+
+}  // namespace
 
 // Policy names, indexed by EvictionPolicy.
 constexpr const char* kPolicyNames[] = {"fifo", "lru", "cost"};
@@ -112,14 +131,6 @@ void ArtifactStore::put(const ArtifactKey& key, const std::string& name,
   d.write_s = pricer_.write_seconds(static_cast<double>(bytes));
   account(d);
   evict_to_capacity(key);
-}
-
-bool evicts_before(EvictionPolicy policy, const EvictionRank& a, const EvictionRank& b) {
-  if (policy == EvictionPolicy::kLru && a.tick != b.tick) return a.tick < b.tick;
-  if (policy == EvictionPolicy::kCostAware && a.cost_density != b.cost_density) {
-    return a.cost_density < b.cost_density;
-  }
-  return a.seq < b.seq;  // FIFO, and every tie
 }
 
 const ManifestEntry* ArtifactStore::pick_victim(const ArtifactKey& keep) const {

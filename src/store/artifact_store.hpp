@@ -80,17 +80,6 @@ struct StoreStats {
 // the call sequence -- identical across reruns and executor backends.
 enum class EvictionPolicy { kFifo, kLru, kCostAware };
 
-// Where an entry stands in the eviction order.
-struct EvictionRank {
-  std::uint64_t seq = 0;   // insertion counter
-  std::uint64_t tick = 0;  // recency tick (== seq until touched)
-  double cost_density = 0.0;
-};
-
-// The one victim order, shared with dist::StoreReplica: true when `a`
-// goes before `b` under `policy`.
-bool evicts_before(EvictionPolicy policy, const EvictionRank& a, const EvictionRank& b);
-
 const char* eviction_policy_name(EvictionPolicy policy);
 bool eviction_policy_from_name(const std::string& name, EvictionPolicy& out);
 

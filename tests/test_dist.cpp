@@ -2,10 +2,11 @@
 //
 //  * The interconnect model is a pure function: latencies depend only on
 //    (seed, topology, endpoints, payload), never on delivery order.
-//  * StoreReplica is a bit-exact shadow of store::ArtifactStore's
-//    placement bookkeeping: the same traffic produces the same resident
-//    set and the same eviction count under every policy (the coherence
-//    shadow-oracle).
+//  * The coherence protocol counts exactly: a fetch from another node is
+//    one migration of the artifact's bytes, a re-produce elsewhere
+//    invalidates the old holder, and a need no live replica holds is
+//    recomputed with its surcharge (replicas are unbounded placement
+//    sets; the store's own eviction is covered by test_eviction).
 //  * DistributedExecutor is observability, never science: MapResult is
 //    field-for-field equal to SimulatedExecutor under retries, faults,
 //    and alt-pool reroutes; campaign stdout is byte-identical at any
@@ -15,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -26,9 +26,8 @@
 #include "core/stage_context.hpp"
 #include "dataflow/executor.hpp"
 #include "dist/executor.hpp"
-#include "dist/replica.hpp"
+#include "obs/trace.hpp"
 #include "sim/network.hpp"
-#include "store/artifact_store.hpp"
 #include "store/key.hpp"
 #include "util/rng.hpp"
 
@@ -76,70 +75,6 @@ TEST(DistNetwork, MessageSecondsIsPureMonotonicAndSeeded) {
   NetworkModel other = net;
   other.seed = 43;
   EXPECT_NE(a, other.message_seconds(0, 3, 16, 1e6));
-}
-
-// ------------------------------------------------------------------ //
-// StoreReplica: the coherence shadow-oracle against ArtifactStore.
-// ------------------------------------------------------------------ //
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-// Drive the real store and the replica with an identical seeded traffic
-// stream under tight capacity and demand bit-equal placement after
-// every operation. Any divergence in eviction order, recency gating, or
-// re-insert handling shows up as a resident-set mismatch.
-TEST(DistReplica, ShadowsArtifactStorePlacementUnderEveryPolicy) {
-  constexpr std::size_t kKeys = 12;
-  constexpr int kOps = 400;
-  std::vector<store::ArtifactKey> keys;
-  std::vector<double> bytes, cost;
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    keys.push_back(store::artifact_key(0x9000 + i, "features", 5));
-    bytes.push_back(1000.0 * static_cast<double>(1 + i % 5));
-    cost.push_back(0.5 * static_cast<double>(i % 7));
-  }
-
-  for (const store::EvictionPolicy ep :
-       {store::EvictionPolicy::kFifo, store::EvictionPolicy::kLru,
-        store::EvictionPolicy::kCostAware}) {
-    SCOPED_TRACE(store::eviction_policy_name(ep));
-    store::StorePolicy sp;
-    sp.eviction = ep;
-    sp.capacity_bytes = 6000;  // a handful of entries: constant pressure
-    store::ArtifactStore store(fresh_dir(std::string("dist_shadow_") +
-                                         store::eviction_policy_name(ep)),
-                               sp);
-    store.open();
-    store.begin_stage("shadow", {});
-    dist::StoreReplica replica;
-    replica.configure(sp.capacity_bytes, ep);
-
-    std::uint64_t replica_evictions = 0;
-    for (int op = 0; op < kOps; ++op) {
-      const std::size_t k =
-          static_cast<std::size_t>(mix64(1234, static_cast<std::uint64_t>(op))) % kKeys;
-      const bool rewrite = op % 7 == 3;  // exercise re-insert seq refresh
-      const bool store_had = store.get(keys[k]).has_value();
-      EXPECT_EQ(store_had, replica.contains(keys[k])) << "op " << op;
-      if (store_had) replica.touch(keys[k]);
-      if (!store_had || rewrite) {
-        store.put(keys[k], "shadow", "x", bytes[k], cost[k]);
-        replica_evictions += replica.insert(keys[k], bytes[k], cost[k]).size();
-      }
-      ASSERT_EQ(store.size(), replica.size()) << "op " << op;
-      for (std::size_t j = 0; j < kKeys; ++j) {
-        ASSERT_EQ(store.contains(keys[j]), replica.contains(keys[j]))
-            << "op " << op << " key " << j;
-      }
-    }
-    // Same victims, op for op, means the same lifetime eviction count.
-    EXPECT_EQ(store.total_stats().evictions, replica_evictions);
-    EXPECT_GT(replica_evictions, 0u);
-  }
 }
 
 // ------------------------------------------------------------------ //
@@ -283,6 +218,105 @@ TEST(DistExecutor, MapResultMatchesSimulatedAcrossTheGrid) {
 }
 
 // ------------------------------------------------------------------ //
+// Coherence: what a replica does, counted one round at a time.
+// ------------------------------------------------------------------ //
+
+// Two nodes, one worker each, three rounds, each in its own window:
+//   produce    t0 makes A on node 0; t1 makes B on node 1 (equal
+//              resident bytes, so the lighter queue wins the tie).
+//   fetch      t2 needs A and B and runs where more of them lives
+//              (node 1): B is a local hit, A migrates from node 0.
+//   reproduce  t3 needs A (now on both nodes; the tie goes to node 0)
+//              and D, which nobody ever made, and produces B again:
+//              D is recomputed, and node 1's copy of B is invalidated.
+TEST(DistCoherence, FetchReproduceAndRecomputeCountExactly) {
+  dist::DistConfig dc;
+  dc.nodes = 2;
+  dist::DistCluster cluster(dc);
+  SimulatedDataflowParams params;
+  params.workers = 2;
+  params.dispatch_overhead_s = 0.1;
+  params.startup_s = 1.0;
+
+  const dist::ArtifactRef a{store::artifact_key(1, "features", 1), 1000.0, 2.0};
+  const dist::ArtifactRef b{store::artifact_key(2, "features", 1), 2000.0, 3.0};
+  const dist::ArtifactRef d{store::artifact_key(4, "features", 1), 3000.0, 7.5};
+  const auto round = [&](const std::string& label,
+                         const std::vector<dist::TaskLocality>& locality) {
+    const std::size_t n = locality.size();
+    cluster.begin_window(label);
+    cluster.run_round(synthetic_tasks(static_cast<int>(n)), std::vector<double>(n, 10.0),
+                      std::vector<char>(n, 1), locality, params);
+  };
+  round("produce", {{.needs = {}, .produces = {a}}, {.needs = {}, .produces = {b}}});
+  round("fetch", {{.needs = {a, b}, .produces = {}}});
+  round("reproduce", {{.needs = {a, d}, .produces = {b}}});
+
+  const obs::DistTrace t = cluster.trace();
+  ASSERT_EQ(t.windows.size(), 3u);
+  constexpr double kControl = 256.0;  // every message but a fetch reply
+
+  // produce: two assigns, two put notices, two dones.
+  const obs::DistWindowTrace& produce = t.windows[0];
+  EXPECT_EQ(produce.label, "produce");
+  EXPECT_EQ(produce.rounds, 1);
+  EXPECT_EQ(produce.tasks, 2);
+  EXPECT_EQ(produce.messages, 6u);
+  EXPECT_EQ(produce.message_bytes, 6 * kControl);
+  EXPECT_EQ(produce.local_hits, 0u);
+  EXPECT_EQ(produce.migrations, 0u);
+  EXPECT_EQ(produce.recomputes, 0u);
+  EXPECT_EQ(produce.invalidations, 0u);
+
+  // fetch: assign, request, forward, reply (A's bytes), share notice,
+  // done.
+  const obs::DistWindowTrace& fetch = t.windows[1];
+  EXPECT_EQ(fetch.tasks, 1);
+  EXPECT_EQ(fetch.messages, 6u);
+  EXPECT_EQ(fetch.message_bytes, 5 * kControl + 1000.0);
+  EXPECT_EQ(fetch.local_hits, 1u);
+  EXPECT_EQ(fetch.migrations, 1u);
+  EXPECT_EQ(fetch.bytes_migrated, 1000.0);
+  EXPECT_EQ(fetch.recomputes, 0u);
+  EXPECT_EQ(fetch.recompute_s, 0.0);
+  EXPECT_EQ(fetch.invalidations, 0u);
+
+  // reproduce: assign, request, miss, put notices for D and B, the
+  // invalidation of node 1's B, done.
+  const obs::DistWindowTrace& reproduce = t.windows[2];
+  EXPECT_EQ(reproduce.tasks, 1);
+  EXPECT_EQ(reproduce.messages, 7u);
+  EXPECT_EQ(reproduce.message_bytes, 7 * kControl);
+  EXPECT_EQ(reproduce.local_hits, 1u);
+  EXPECT_EQ(reproduce.migrations, 0u);
+  EXPECT_EQ(reproduce.bytes_migrated, 0.0);
+  EXPECT_EQ(reproduce.recomputes, 1u);
+  EXPECT_EQ(reproduce.recompute_s, 7.5);
+  EXPECT_EQ(reproduce.invalidations, 1u);
+
+  // Where everything ended up: node 0 holds A, B and the recomputed D;
+  // node 1 kept only its fetched copy of A.
+  ASSERT_EQ(t.node_spans.size(), 2u);
+  const obs::DistNodeTrace& n0 = t.node_spans[0];
+  const obs::DistNodeTrace& n1 = t.node_spans[1];
+  EXPECT_EQ(n0.tasks, 2);
+  EXPECT_EQ(n1.tasks, 2);
+  EXPECT_EQ(n0.migrations_out, 1u);
+  EXPECT_EQ(n0.bytes_out, 1000.0);
+  EXPECT_EQ(n1.migrations_in, 1u);
+  EXPECT_EQ(n1.bytes_in, 1000.0);
+  EXPECT_EQ(n0.recomputes, 1u);
+  EXPECT_EQ(n1.invalidations, 1u);
+  EXPECT_EQ(n0.replica_entries, 3u);
+  EXPECT_EQ(n0.replica_bytes, 6000.0);
+  EXPECT_EQ(n1.replica_entries, 1u);
+  EXPECT_EQ(n1.replica_bytes, 1000.0);
+  EXPECT_EQ(t.totals.invalidations, 1u);
+  EXPECT_EQ(t.totals.migrations, 1u);
+  EXPECT_EQ(t.totals.recomputes, 1u);
+}
+
+// ------------------------------------------------------------------ //
 // Campaign-level byte-identity, crashes, and routing economics.
 // ------------------------------------------------------------------ //
 
@@ -337,8 +371,8 @@ TEST(DistCampaign, StdoutByteIdenticalAcrossNodeCountsUnderChaos) {
     EXPECT_EQ(golden, run_dist(campaign, records, cluster));
     // Stage drivers opened one stats window per stage.
     ASSERT_EQ(cluster.windows().size(), 2u);
-    EXPECT_EQ(cluster.windows()[0].first, "pair-features");
-    EXPECT_EQ(cluster.windows()[1].first, "pair-inference");
+    EXPECT_EQ(cluster.windows()[0].label, "pair-features");
+    EXPECT_EQ(cluster.windows()[1].label, "pair-inference");
     EXPECT_GT(cluster.totals().tasks, 0);
     if (nodes > 1) {
       // Pair tasks need two chains' features: some must cross nodes.
