@@ -71,7 +71,6 @@ void emit_json(const std::string& path, std::size_t chains, std::size_t pairs,
       os << format("      \"recomputes\": %llu,\n", static_cast<unsigned long long>(t.recomputes));
       os << format("      \"invalidations\": %llu,\n",
                    static_cast<unsigned long long>(t.invalidations));
-      os << format("      \"evictions\": %llu,\n", static_cast<unsigned long long>(t.evictions));
       os << format("      \"hit_rate\": %.4f,\n", r.hit_rate);
       os << format("      \"makespan_s\": %.6f\n", t.makespan_s);
       os << "    }" << (i + 1 < runs.size() ? "," : "") << "\n";

@@ -4,6 +4,7 @@
 
 #include <numbers>
 
+#include "analysis/struct_align.hpp"
 #include "bio/fold_grammar.hpp"
 #include "fold/engine.hpp"
 #include "geom/backbone.hpp"
@@ -81,6 +82,24 @@ void BM_TmScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TmScore)->Arg(64)->Arg(256)->Arg(512);
+
+// One exact alignment as the cluster stage runs it: an engine-like model
+// of a length-n render against the same fold rendered at 5n/4 residues
+// (a remote homolog).
+void BM_StructAlign(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(3);
+  const FoldSpec fold = sample_fold(rng, n);
+  const std::string seq = sample_sequence_for_ss(render_ss(fold, n), rng);
+  const auto model = engine_like_model(build_fold_structure("b", fold, seq, 0.4, 9).ca_coords(), 7);
+  Rng hrng(5);
+  const std::string hseq = homolog_sequence(fold, seq, n, n + n / 4, 0.3, hrng);
+  const auto homolog = build_fold_structure("h", fold, hseq).ca_coords();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(struct_align_ca(model, homolog, seq, hseq).tm_query);
+  }
+}
+BENCHMARK(BM_StructAlign)->Arg(64)->Arg(256)->Arg(512);
 
 // The engine's final declash pass on a perturbed native.
 void BM_Declash(benchmark::State& state) {

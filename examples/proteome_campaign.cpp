@@ -51,6 +51,9 @@
 // --no-prefilter disabling the structural prefilter (same clusters,
 // more exact alignments). Alignment provenance goes to stderr; stdout
 // gains the cluster block but every pre-cluster byte is unchanged.
+// The stage's predictions, alignments and library renders run on one
+// thread per CPU the process may use (`taskset -c 0` makes it serial);
+// every output byte is the same at any thread count.
 //
 // A flag the chosen mode would ignore is refused (exit 2), like any
 // other malformed command line.
@@ -131,11 +134,11 @@ void print_dist_stats(const dist::DistCluster& cluster) {
                t.tasks_rerouted, t.node_crashes);
   std::fprintf(stderr,
                "dist: %llu message(s) (%.0f B, %.3fs wire) | local hits %llu, migrations %llu "
-               "(%.0f B), recomputes %llu, invalidations %llu, evictions %llu\n",
+               "(%.0f B), recomputes %llu, invalidations %llu\n",
                (unsigned long long)t.messages, t.message_bytes, t.network_s,
                (unsigned long long)t.local_hits, (unsigned long long)t.migrations,
                t.bytes_migrated, (unsigned long long)t.recomputes,
-               (unsigned long long)t.invalidations, (unsigned long long)t.evictions);
+               (unsigned long long)t.invalidations);
   for (const dist::NodeStats& ns : cluster.node_stats()) {
     std::fprintf(stderr,
                  "dist: node %2d: %d worker(s), %d task(s), busy %.1fs, hits %llu, in %.0f B, "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "native/render.hpp"
 
@@ -22,17 +23,22 @@ double structure_contact_density(const Structure& s) {
 FoldLibrary::FoldLibrary(const FoldUniverse& universe,
                          const std::vector<std::size_t>& fold_indices) {
   entries_.reserve(fold_indices.size());
-  for (std::size_t f : fold_indices) {
-    FoldLibraryEntry e;
-    e.fold_index = f;
-    e.annotation = universe.annotation(f);
-    e.structure = build_fold_structure("pdb70_" + std::to_string(f), universe.fold(f),
-                                       universe.canonical_sequence(f));
-    e.length = static_cast<int>(e.structure.size());
-    e.radius_of_gyration = e.structure.radius_of_gyration();
-    e.contact_density = structure_contact_density(e.structure);
-    entries_.push_back(std::move(e));
-  }
+  for (std::size_t f : fold_indices) entries_.push_back(make_entry(universe, f));
+}
+
+FoldLibrary::FoldLibrary(std::vector<FoldLibraryEntry> entries) : entries_(std::move(entries)) {}
+
+FoldLibraryEntry FoldLibrary::make_entry(const FoldUniverse& universe, std::size_t fold_index) {
+  FoldLibraryEntry e;
+  e.fold_index = fold_index;
+  e.annotation = universe.annotation(fold_index);
+  e.structure = build_fold_structure("pdb70_" + std::to_string(fold_index),
+                                     universe.fold(fold_index),
+                                     universe.canonical_sequence(fold_index));
+  e.length = static_cast<int>(e.structure.size());
+  e.radius_of_gyration = e.structure.radius_of_gyration();
+  e.contact_density = structure_contact_density(e.structure);
+  return e;
 }
 
 std::vector<FoldSearchHit> FoldLibrary::search(const Structure& query, std::size_t shortlist,

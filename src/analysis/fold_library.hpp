@@ -41,6 +41,12 @@ class FoldLibrary {
   // Build from a universe: one representative per fold index in
   // `fold_indices` (rendered at the fold's base length).
   FoldLibrary(const FoldUniverse& universe, const std::vector<std::size_t>& fold_indices);
+  // Build from entries made by make_entry(), in library order.
+  explicit FoldLibrary(std::vector<FoldLibraryEntry> entries);
+
+  // The representative of fold `fold_index`: its render and prefilter
+  // features.
+  static FoldLibraryEntry make_entry(const FoldUniverse& universe, std::size_t fold_index);
 
   std::size_t size() const { return entries_.size(); }
   const FoldLibraryEntry& entry(std::size_t i) const { return entries_[i]; }

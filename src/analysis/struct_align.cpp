@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "geom/kabsch.hpp"
 #include "score/tm_score.hpp"
@@ -10,26 +12,54 @@ namespace sf {
 
 namespace {
 
-// Needleman-Wunsch over a dense similarity matrix with linear gaps;
-// returns the monotone correspondence maximizing total similarity.
-// `h` and `tb` are the caller's (n+1)*(m+1) score and traceback
-// matrices; every call rewrites all of both but the zero boundary row
-// and column of `h`, which it never writes, so the caller zero-fills
-// them once and reuses them across calls.
-std::vector<std::pair<int, int>> dp_align(const std::vector<double>& sim, int n, int m,
-                                          double gap, std::vector<double>& h,
-                                          std::vector<std::uint8_t>& tb) {
-  const auto at = [m](int i, int j) {
-    return static_cast<std::size_t>(i) * (m + 1) + static_cast<std::size_t>(j);
-  };
-  // Boundary rows stay 0: end gaps are free (glocal alignment), as in
-  // TM-align's DP phase.
+// TM-score kernel of one CA pair: 1 / (1 + d^2 / d0^2).
+double tm_similarity(const Vec3& a, const Vec3& b, double d0) {
+  return 1.0 / (1.0 + distance2(a, b) / (d0 * d0));
+}
+
+// dp_align's working memory, reused by every refinement iteration of one
+// struct_align_ca call: the similarity row of the current query residue,
+// two rolling score rows, and the n*m one-byte traceback. About one byte
+// per DP cell plus O(m).
+struct DpBuffers {
+  DpBuffers(int n, int m)
+      : sim(static_cast<std::size_t>(m)),
+        prev(static_cast<std::size_t>(m) + 1, 0.0),
+        cur(static_cast<std::size_t>(m) + 1, 0.0),
+        tb(static_cast<std::size_t>(n) * static_cast<std::size_t>(m)) {}
+  std::vector<double> sim;
+  std::vector<double> prev;
+  std::vector<double> cur;
+  std::vector<std::uint8_t> tb;
+};
+
+// Needleman-Wunsch with linear gaps over the similarity S_ij =
+// tm_similarity(sp(q_i), t_j, d0); returns the monotone correspondence
+// maximizing total similarity. Each query row's similarities go into one
+// m-long buffer and straight into that row of the DP, whose scores live
+// in two rolling rows; only the traceback covers the whole matrix.
+std::vector<std::pair<int, int>> dp_align(const std::vector<Vec3>& q, const std::vector<Vec3>& t,
+                                          const Superposition& sp, double d0, double gap,
+                                          DpBuffers& buf) {
+  const int n = static_cast<int>(q.size());
+  const int m = static_cast<int>(t.size());
+  // The boundary row and column stay 0: end gaps are free (glocal
+  // alignment), as in TM-align's DP phase. Column 0 of either row is
+  // never written.
+  std::fill(buf.prev.begin(), buf.prev.end(), 0.0);
   for (int i = 1; i <= n; ++i) {
+    const Vec3 qi = sp.apply(q[static_cast<std::size_t>(i - 1)]);
+    for (int j = 0; j < m; ++j) {
+      buf.sim[static_cast<std::size_t>(j)] = tm_similarity(qi, t[static_cast<std::size_t>(j)], d0);
+    }
+    const double* sim = buf.sim.data();
+    const double* up_row = buf.prev.data();
+    double* row = buf.cur.data();
+    std::uint8_t* tb = buf.tb.data() + static_cast<std::size_t>(i - 1) * m;
     for (int j = 1; j <= m; ++j) {
-      const double diag =
-          h[at(i - 1, j - 1)] + sim[static_cast<std::size_t>(i - 1) * m + (j - 1)];
-      const double up = h[at(i - 1, j)] - gap;
-      const double left = h[at(i, j - 1)] - gap;
+      const double diag = up_row[j - 1] + sim[j - 1];
+      const double up = up_row[j] - gap;
+      const double left = row[j - 1] - gap;
       double best = diag;
       std::uint8_t dir = 1;
       if (up > best) {
@@ -40,15 +70,16 @@ std::vector<std::pair<int, int>> dp_align(const std::vector<double>& sim, int n,
         best = left;
         dir = 3;
       }
-      h[at(i, j)] = best;
-      tb[at(i, j)] = dir;
+      row[j] = best;
+      tb[j - 1] = dir;
     }
+    std::swap(buf.prev, buf.cur);
   }
   std::vector<std::pair<int, int>> pairs;
   int i = n;
   int j = m;
   while (i > 0 && j > 0) {
-    const std::uint8_t dir = tb[at(i, j)];
+    const std::uint8_t dir = buf.tb[static_cast<std::size_t>(i - 1) * m + (j - 1)];
     if (dir == 1) {
       pairs.emplace_back(i - 1, j - 1);
       --i;
@@ -69,9 +100,8 @@ double tm_from_pairs(const std::vector<Vec3>& q, const std::vector<Vec3>& t,
   const double d0 = tm_d0(norm);
   double score = 0.0;
   for (const auto& [qi, tj] : pairs) {
-    const double d2 =
-        distance2(sp.apply(q[static_cast<std::size_t>(qi)]), t[static_cast<std::size_t>(tj)]);
-    score += 1.0 / (1.0 + d2 / (d0 * d0));
+    score += tm_similarity(sp.apply(q[static_cast<std::size_t>(qi)]),
+                           t[static_cast<std::size_t>(tj)], d0);
   }
   return score / static_cast<double>(norm);
 }
@@ -125,9 +155,8 @@ StructAlignResult struct_align_ca(const std::vector<Vec3>& query_ca,
         const int hi = std::min(n, m - offset);
         double tm = 0.0;
         for (int i = lo; i < hi; ++i) {
-          const double d2 = distance2(seed.sp.apply(query_ca[static_cast<std::size_t>(i)]),
-                                      target_ca[static_cast<std::size_t>(i + offset)]);
-          tm += 1.0 / (1.0 + d2 / (d0q * d0q));
+          tm += tm_similarity(seed.sp.apply(query_ca[static_cast<std::size_t>(i)]),
+                              target_ca[static_cast<std::size_t>(i + offset)], d0q);
         }
         seed.threading_tm = tm / static_cast<double>(n);
         scored_seeds.push_back(std::move(seed));
@@ -148,39 +177,37 @@ StructAlignResult struct_align_ca(const std::vector<Vec3>& query_ca,
   for (std::size_t i = 0; i < refine_count; ++i) seeds.push_back(scored_seeds[i].sp);
 
   // Buffers shared by every refinement iteration of every seed.
-  std::vector<double> sim(static_cast<std::size_t>(n) * m);
-  std::vector<double> dp_h(static_cast<std::size_t>(n + 1) * (m + 1), 0.0);
-  std::vector<std::uint8_t> dp_tb(static_cast<std::size_t>(n + 1) * (m + 1), 0);
-  std::vector<Vec3> qs;
-  std::vector<Vec3> ts;
+  DpBuffers dp(n, m);
   std::vector<double> ws;
   for (const auto& seed : seeds) {
     Superposition sp = seed;
     std::vector<std::pair<int, int>> pairs;
     double prev_tm = -1.0;
     for (int iter = 0; iter < params.max_iterations; ++iter) {
-      // Score matrix under the current transform.
-      for (int i = 0; i < n; ++i) {
-        const Vec3 qi = sp.apply(query_ca[static_cast<std::size_t>(i)]);
-        for (int j = 0; j < m; ++j) {
-          const double d2 = distance2(qi, target_ca[static_cast<std::size_t>(j)]);
-          sim[static_cast<std::size_t>(i) * m + j] = 1.0 / (1.0 + d2 / (d0q * d0q));
-        }
-      }
-      pairs = dp_align(sim, n, m, params.gap_penalty, dp_h, dp_tb);
+      pairs = dp_align(query_ca, target_ca, sp, d0q, params.gap_penalty, dp);
       if (pairs.size() < 3) break;
       // Re-superpose weighted by the TM kernel: well-fitting pairs steer
       // the transform, badly-fitting ones barely perturb it, which lets
       // the iteration walk into the right register from a rough seed.
-      qs.clear();
-      ts.clear();
+      // Each weight is the aligned pair's DP similarity (same transform,
+      // same expression) plus a floor.
       ws.clear();
+      double wsum = 0.0;
       for (const auto& [qi, tj] : pairs) {
-        qs.push_back(query_ca[static_cast<std::size_t>(qi)]);
-        ts.push_back(target_ca[static_cast<std::size_t>(tj)]);
-        ws.push_back(sim[static_cast<std::size_t>(qi) * m + tj] + 0.02);
+        ws.push_back(tm_similarity(sp.apply(query_ca[static_cast<std::size_t>(qi)]),
+                                   target_ca[static_cast<std::size_t>(tj)], d0q) +
+                     0.02);
+        wsum += ws.back();
       }
-      sp = kabsch_weighted(qs, ts, ws);
+      sp = superpose(
+          pairs.size(),
+          [&](std::size_t k) -> const Vec3& {
+            return query_ca[static_cast<std::size_t>(pairs[k].first)];
+          },
+          [&](std::size_t k) -> const Vec3& {
+            return target_ca[static_cast<std::size_t>(pairs[k].second)];
+          },
+          [&](std::size_t k) { return ws[k]; }, wsum);
       const double tm = tm_from_pairs(query_ca, target_ca, pairs, static_cast<std::size_t>(n), sp);
       if (tm <= prev_tm + 1e-6) break;
       prev_tm = tm;

@@ -10,6 +10,9 @@
 //      S_ij = 1/(1 + d_ij^2/d0^2) over transformed CA pairs -> global DP
 //      (NW, gap penalty, monotone correspondence) -> re-superpose, until
 //      the correspondence stabilizes; keep the best TM-score over seeds.
+// The DP computes each query row's similarities into one m-long buffer
+// and keeps two rolling score rows, so a call holds the n*m one-byte
+// traceback plus O(n + m) doubles.
 // TM-score is normalized by the query length, matching the paper's use.
 #pragma once
 

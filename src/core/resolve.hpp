@@ -69,11 +69,29 @@ Resolved<Artifact> resolve(CampaignJournal* journal, std::uint64_t row_key,
   return out;
 }
 
-// The journal-only form, for results no store holds.
+// Whether resolve() with these arguments, and every row and artifact
+// usable, would reach compute(): no journal row and no store entry.
+// Side-effect free (no store get, no stats), so a loop can pick its
+// misses before it resolves anything. A listed object that then fails
+// to read or decode still makes resolve() compute, so the loop's
+// compute step must handle an item this said would not compute.
+template <class Artifact>
+bool resolve_would_compute(const CampaignJournal* journal, std::uint64_t row_key,
+                           const store::ArtifactStore* store, const store::ArtifactKey& store_key) {
+  if (journal != nullptr && journal->find<Artifact>(row_key) != nullptr) return false;
+  return store == nullptr || !store->contains(store_key);
+}
+
+// The journal-only forms, for results no store holds.
 template <class Artifact, class Compute>
 Resolved<Artifact> resolve(CampaignJournal* journal, std::uint64_t row_key, Compute&& compute) {
   return resolve<Artifact>(journal, row_key, nullptr, store::ArtifactKey{}, nullptr,
                            std::forward<Compute>(compute), [](const Artifact&) {});
+}
+
+template <class Artifact>
+bool resolve_would_compute(const CampaignJournal* journal, std::uint64_t row_key) {
+  return resolve_would_compute<Artifact>(journal, row_key, nullptr, store::ArtifactKey{});
 }
 
 }  // namespace sf

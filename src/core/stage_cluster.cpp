@@ -1,7 +1,8 @@
 #include "core/stage_cluster.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "analysis/fold_library.hpp"
@@ -11,6 +12,7 @@
 #include "store/artifact_store.hpp"
 #include "store/codec.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sf {
 namespace {
@@ -18,6 +20,37 @@ namespace {
 // Modeled on-disk size of one alignment artifact (the sfclal codec
 // line: three hex doubles plus the header).
 constexpr double kAlignArtifactBytes = 64.0;
+
+store::ClusterAlignArtifact align_artifact(const Structure& a, const Structure& b) {
+  const cluster::PairAlignment al = cluster::align_pair(a, b);
+  return {al.tm_query, al.tm_target, al.rmsd};
+}
+
+std::vector<std::size_t> indices(std::size_t n) {
+  std::vector<std::size_t> out(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  return out;
+}
+
+// `items` costliest first (ties keep their order): the order fill_slots
+// starts them in, so the longest items do not finish last.
+template <typename Cost>
+std::vector<std::size_t> costliest_first(std::vector<std::size_t> items, const Cost& cost) {
+  std::stable_sort(items.begin(), items.end(),
+                   [&](std::size_t a, std::size_t b) { return cost(a) > cost(b); });
+  return items;
+}
+
+// A centroid's novelty row from its ranked library hits.
+ClusterNovelFold novel_scan(std::size_t centroid, const std::vector<FoldSearchHit>& hits) {
+  ClusterNovelFold f;
+  f.record = centroid;
+  if (!hits.empty()) {
+    f.best_tm = hits[0].tm_query;
+    f.best_fold = static_cast<int>(hits[0].fold_index);
+  }
+  return f;
+}
 
 }  // namespace
 
@@ -38,6 +71,15 @@ ClusterStageReport ClusterStage::run(const StageContext& ctx,
   const bool tracing = ctx.tracing();
   const bool caching = ctx.caching();
 
+  // Every science loop below is split in three: a serial, side-effect-
+  // free peek (resolve_would_compute) picks the items resolve() will
+  // compute; `compute` fills their slots on one thread per CPU in the
+  // affinity mask; and the serial resolve() loop then runs in canonical
+  // order, taking a slot where it computes. Journal and store calls keep
+  // their serial order, so every output byte is the same at any thread
+  // count.
+  SlotComputer compute;
+
   // ---- structures ----------------------------------------------------
   // Stage inputs too heavy to journal are *recomputed deterministically*
   // (the journal contract): predictions are keyed by per-record seeds,
@@ -46,15 +88,21 @@ ClusterStageReport ClusterStage::run(const StageContext& ctx,
   const FoldingEngine engine(ctx.universe, cfg.engine);
   const ModelWeights top_model = five_models()[0];
   std::vector<Structure> structures(records.size());
+  std::vector<char> oom(records.size(), 0);
+  compute.fill_slots(
+      costliest_first(indices(records.size()), [&](std::size_t i) { return records[i].length(); }),
+      [&](std::size_t i) {
+        Prediction pred = engine.predict(records[i], features[i], top_model, cfg.preset);
+        oom[i] = pred.out_of_memory ? 1 : 0;
+        if (!pred.out_of_memory) structures[i] = std::move(pred.structure);
+      });
   std::vector<std::size_t> items;
   items.reserve(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    Prediction pred = engine.predict(records[i], features[i], top_model, cfg.preset);
-    if (pred.out_of_memory) {
+    if (oom[i]) {
       ++out.excluded_oom;
       continue;
     }
-    structures[i] = std::move(pred.structure);
     items.push_back(i);
   }
   out.structures = static_cast<int>(items.size());
@@ -85,16 +133,37 @@ ClusterStageReport ClusterStage::run(const StageContext& ctx,
   // ---- science phase -------------------------------------------------
   // Exact alignments resolve serially in canonical pair order, outside
   // the executor map (the pair campaign's discipline): journal row >
-  // stored artifact > struct_align (core/resolve.hpp).
+  // stored artifact > struct_align (core/resolve.hpp). The peek finds
+  // the pairs with neither, and their alignments run first, in parallel.
+  // A listed object that fails to read is the one miss the peek cannot
+  // see: resolve() then aligns that pair inline.
+  std::vector<std::size_t> misses;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const auto [a, b] = pairs[k];
+    if (resolve_would_compute<store::ClusterAlignArtifact>(
+            journal, cluster::cluster_pair_key(a, b), store, align_key(a, b))) {
+      misses.push_back(k);
+    }
+  }
+  std::vector<std::optional<store::ClusterAlignArtifact>> computed(pairs.size());
+  compute.fill_slots(costliest_first(misses,
+                                     [&](std::size_t k) {
+                                       return records[pairs[k].first].length() *
+                                              records[pairs[k].second].length();
+                                     }),
+                     [&](std::size_t k) {
+                       computed[k] = align_artifact(structures[pairs[k].first],
+                                                    structures[pairs[k].second]);
+                     });
+
   std::vector<cluster::PairAlignment> aligned(pairs.size());
   std::vector<std::uint64_t> accepted_keys;
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     const std::size_t a = pairs[k].first;
     const std::size_t b = pairs[k].second;
     const store::ArtifactKey key = align_key(a, b);
-    const auto compute = [&] {
-      const cluster::PairAlignment al = cluster::align_pair(structures[a], structures[b]);
-      return store::ClusterAlignArtifact{al.tm_query, al.tm_target, al.rmsd};
+    const auto slot = [&] {
+      return computed[k] ? *computed[k] : align_artifact(structures[a], structures[b]);
     };
     const auto put = [&](const store::ClusterAlignArtifact& art) {
       store->put(key, records[a].sequence.id() + "+" + records[b].sequence.id() + "/calign",
@@ -103,7 +172,7 @@ ClusterStageReport ClusterStage::run(const StageContext& ctx,
                                                 cpu_speed));
     };
     const auto r = resolve(journal, cluster::cluster_pair_key(a, b), store, key,
-                           store::decode_cluster_align, compute, put);
+                           store::decode_cluster_align, slot, put);
     switch (r.source) {
       case ResolveSource::kJournal: ++out.aligns_from_journal; break;
       case ResolveSource::kStore: ++out.aligns_from_store; break;
@@ -171,8 +240,9 @@ ClusterStageReport ClusterStage::run(const StageContext& ctx,
   // set's novel-fold records (no experimental structure by definition
   // -- the annotate_hypotheticals construction). Per-centroid best hits
   // are journaled, so a resumed campaign re-derives the novelty list
-  // with zero library searches; the library itself is built lazily and
-  // never at all on a fully journaled resume.
+  // with zero library searches; the library itself is built only when a
+  // centroid has no journal row, and never at all on a fully journaled
+  // resume.
   std::vector<bool> excluded(ctx.universe.size(), false);
   for (const auto& r : records) {
     if (r.novel_fold) excluded[r.fold_index] = true;
@@ -181,20 +251,42 @@ ClusterStageReport ClusterStage::run(const StageContext& ctx,
   for (std::size_t f = 0; f < ctx.universe.size(); ++f) {
     if (!excluded[f]) library_folds.push_back(f);
   }
-  std::unique_ptr<FoldLibrary> library;
-  for (const auto& c : pc.clusters) {
-    const auto search = [&] {
-      if (!library) library = std::make_unique<FoldLibrary>(ctx.universe, library_folds);
-      ClusterNovelFold f;
-      f.record = c.centroid;
-      const auto hits = library->search(structures[c.centroid], ccfg.fold_shortlist);
-      if (!hits.empty()) {
-        f.best_tm = hits[0].tm_query;
-        f.best_fold = static_cast<int>(hits[0].fold_index);
-      }
-      return f;
-    };
-    const ClusterNovelFold scan = resolve<ClusterNovelFold>(journal, c.centroid, search).artifact;
+  // The scans read no store, so this peek is exact: every centroid
+  // resolve() computes below has its slot filled here.
+  std::vector<std::size_t> scan_misses;
+  for (std::size_t c = 0; c < pc.clusters.size(); ++c) {
+    if (resolve_would_compute<ClusterNovelFold>(journal, pc.clusters[c].centroid)) {
+      scan_misses.push_back(c);
+    }
+  }
+  std::vector<std::optional<ClusterNovelFold>> scanned(pc.clusters.size());
+  if (!scan_misses.empty()) {
+    // The library's renders, then one library search per centroid, each
+    // in parallel.
+    std::vector<FoldLibraryEntry> entries(library_folds.size());
+    compute.fill_slots(costliest_first(indices(entries.size()),
+                                       [&](std::size_t e) {
+                                         return ctx.universe.fold(library_folds[e]).base_length();
+                                       }),
+                       [&](std::size_t e) {
+                         entries[e] = FoldLibrary::make_entry(ctx.universe, library_folds[e]);
+                       });
+    const FoldLibrary library(std::move(entries));
+    compute.fill_slots(costliest_first(scan_misses,
+                                       [&](std::size_t c) {
+                                         return structures[pc.clusters[c].centroid].size();
+                                       }),
+                       [&](std::size_t c) {
+                         const std::size_t centroid = pc.clusters[c].centroid;
+                         scanned[c] = novel_scan(
+                             centroid, library.search(structures[centroid], ccfg.fold_shortlist));
+                       });
+  }
+  for (std::size_t c = 0; c < pc.clusters.size(); ++c) {
+    const ClusterNovelFold scan =
+        resolve<ClusterNovelFold>(journal, pc.clusters[c].centroid, [&] {
+          return scanned[c].value();
+        }).artifact;
     if (scan.best_tm < ccfg.tm_threshold) out.novel.push_back(scan);
   }
 

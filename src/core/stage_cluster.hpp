@@ -17,7 +17,10 @@
 // (journal row > store artifact > struct_align) and the executor map
 // only prices the modeled schedule -- so stdout, journal, and trace
 // bytes are identical across backends, node counts, store on/off, and
-// kill/resume.
+// kill/resume. The real work (predictions, the alignments and library
+// searches the journal and store lack, the library's renders) runs
+// first on one thread per CPU in the affinity mask, into per-item
+// slots, so those bytes are also the same at any thread count.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,16 @@
-// Fixed-size worker pool with a shared task queue.
+// Fixed-size worker pool with a shared task queue, and the slot filler
+// the science loops' compute phase runs on.
 //
-// The substrate for real parallel work on host threads: today
-// examples/relax_compare runs its minimizations on it, and it is where
-// the science loops' compute phase is meant to go (ROADMAP). The
-// dataflow executors never use it -- they price work in modeled time.
-// Design follows the usual HPC idiom: workers block on a condition
-// variable, submission returns std::future, shutdown is explicit and
-// joins all threads (RAII in the destructor as backstop).
+// The substrate for real parallel work on host threads. The cluster
+// stage (core/stage_cluster) splits each of its science loops into a
+// serial lookup, a compute phase over the misses that SlotComputer runs
+// here, and a serial commit, so its reports, journal and store bytes
+// are the same at any thread count; examples/relax_compare runs its
+// minimizations on a ThreadPool directly. The dataflow executors never
+// use it -- they price work in modeled time. Design follows the usual
+// HPC idiom: workers block on a condition variable, submission returns
+// std::future, shutdown is explicit and joins all threads (RAII in the
+// destructor as backstop).
 #pragma once
 
 #include <condition_variable>
@@ -18,6 +22,7 @@
 #include <mutex>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace sf {
@@ -67,6 +72,33 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::size_t active_ = 0;
   bool stopping_ = false;
+};
+
+// CPUs the calling thread may run on (its affinity mask), at least 1.
+std::size_t affinity_cpus();
+
+// Runs a loop's independent per-item computations on up to `threads`
+// threads, by default one per CPU in the calling thread's affinity mask
+// (so `taskset -c 0` makes a run serial). Each item writes only its own
+// output slot, so the caller's serial commit reads the same values at
+// any thread count. With one thread every item runs inline on the
+// calling thread. The pool starts on the first fill_slots() with at
+// least two items to share out, and later calls reuse it.
+class SlotComputer {
+ public:
+  SlotComputer() : SlotComputer(affinity_cpus()) {}
+  explicit SlotComputer(std::size_t threads);
+
+  // Runs fn(k) once for every k in `order`, starting items in that order
+  // (costliest first balances the threads best), and returns when all
+  // have finished. An exception from fn is rethrown here after every
+  // thread has stopped.
+  void fill_slots(const std::vector<std::size_t>& order,
+                  const std::function<void(std::size_t)>& fn);
+
+ private:
+  std::size_t threads_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace sf

@@ -13,11 +13,18 @@
 //    cold, and warm, and a warm store recomputes zero alignments;
 //  * kill-at-any-byte resume: a truncated journal resumes to the exact
 //    uninterrupted cluster report, and a sealed journal replays it
-//    without a single fresh alignment.
+//    without a single fresh alignment;
+//  * thread-count independence: stdout, journal, store files and trace
+//    are byte-identical at any thread count (the CPUs the test pins its
+//    thread to), resumes included, and a stored alignment the peek
+//    counts on but cannot read is recomputed inline.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -32,9 +39,13 @@
 #include "core/report.hpp"
 #include "dist/executor.hpp"
 #include "native/render.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_io.hpp"
 #include "store/artifact_store.hpp"
+#include "store/key.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sf {
 namespace {
@@ -364,6 +375,52 @@ TEST(ClusterCampaign, StoreOffColdAndWarmAreByteIdenticalAndWarmComputesZero) {
 }
 
 // ------------------------------------------------------------------ //
+// Thread counts.
+// ------------------------------------------------------------------ //
+
+// Pins the calling thread to the first `n` CPUs of its affinity mask
+// while in scope; the cluster stage sizes its SlotComputer from that
+// mask, so a campaign run here computes on n threads.
+class PinnedCpus {
+ public:
+  explicit PinnedCpus(std::size_t n) {
+    CPU_ZERO(&saved_);
+    EXPECT_EQ(sched_getaffinity(0, sizeof(saved_), &saved_), 0);
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    std::size_t taken = 0;
+    for (int cpu = 0; cpu < CPU_SETSIZE && taken < n; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &set);
+        ++taken;
+      }
+    }
+    EXPECT_EQ(taken, n);
+    EXPECT_EQ(sched_setaffinity(0, sizeof(set), &set), 0);
+    EXPECT_EQ(affinity_cpus(), n);
+  }
+  ~PinnedCpus() { sched_setaffinity(0, sizeof(saved_), &saved_); }
+
+  PinnedCpus(const PinnedCpus&) = delete;
+  PinnedCpus& operator=(const PinnedCpus&) = delete;
+
+ private:
+  cpu_set_t saved_;
+};
+
+// The counts in `fewer` below the CPUs in the affinity mask, then all
+// of those CPUs (the stage's default).
+std::vector<std::size_t> thread_counts(std::initializer_list<std::size_t> fewer) {
+  const std::size_t all = affinity_cpus();
+  std::vector<std::size_t> out;
+  for (const std::size_t n : fewer) {
+    if (n < all) out.push_back(n);
+  }
+  out.push_back(all);
+  return out;
+}
+
+// ------------------------------------------------------------------ //
 // Journal kill/resume.
 // ------------------------------------------------------------------ //
 
@@ -400,28 +457,148 @@ TEST(ClusterCampaign, JournalResumeReproducesClusterReportAtEveryCut) {
     if (i + 1 < line_cuts && cuts[i] + 5 < cuts[i + 1]) selected.push_back(cuts[i] + 5);
   }
 
-  int resumed_runs = 0;
-  for (const std::size_t cut : selected) {
-    const std::string path = dir + "cluster_journal_cut_" + std::to_string(cut) + ".sfj";
-    write_file(path, full.substr(0, cut));
-    CampaignJournal journal(path);
-    const CampaignReport resumed = pipeline.run(records, &journal);
-    SCOPED_TRACE("cut at byte " + std::to_string(cut));
-    expect_cluster_eq(baseline.cluster, resumed.cluster);
-    EXPECT_EQ(campaign_stdout(baseline), campaign_stdout(resumed));
-    ++resumed_runs;
-  }
-  EXPECT_GE(resumed_runs, 10);
+  // Every cut resumes serially and on every CPU.
+  for (const std::size_t threads : thread_counts({1})) {
+    const PinnedCpus pinned(threads);
+    int resumed_runs = 0;
+    for (const std::size_t cut : selected) {
+      const std::string path = dir + "cluster_journal_cut_" + std::to_string(cut) + ".sfj";
+      write_file(path, full.substr(0, cut));
+      CampaignJournal journal(path);
+      const CampaignReport resumed = pipeline.run(records, &journal);
+      SCOPED_TRACE(std::to_string(threads) + " threads, cut at byte " + std::to_string(cut));
+      expect_cluster_eq(baseline.cluster, resumed.cluster);
+      EXPECT_EQ(campaign_stdout(baseline), campaign_stdout(resumed));
+      ++resumed_runs;
+    }
+    EXPECT_GE(resumed_runs, 10);
 
-  // A sealed journal replays every alignment and every novelty row:
-  // zero fresh struct_align calls, zero library searches needed.
-  {
-    CampaignJournal journal(full_path);
+    // A sealed journal replays every alignment and every novelty row:
+    // zero fresh struct_align calls, zero library searches needed.
+    const std::string sealed_path = dir + "cluster_journal_sealed.sfj";
+    write_file(sealed_path, full);
+    CampaignJournal journal(sealed_path);
     const CampaignReport resumed = pipeline.run(records, &journal);
+    SCOPED_TRACE(std::to_string(threads) + " threads, sealed journal");
     expect_cluster_eq(baseline.cluster, resumed.cluster);
     EXPECT_EQ(resumed.cluster.aligns_computed, 0u);
     EXPECT_EQ(resumed.cluster.aligns_from_journal, resumed.cluster.aligned_pairs);
   }
+}
+
+// Every file under `dir`, keyed by its path relative to `dir`.
+std::map<std::string, std::string> dir_files(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (e.is_regular_file()) {
+      out[std::filesystem::relative(e.path(), dir).string()] = read_file(e.path().string());
+    }
+  }
+  return out;
+}
+
+// What one journaled, traced, store-backed campaign leaves behind.
+struct CampaignBytes {
+  ClusterStageReport cluster;
+  std::string out;
+  std::string journal;
+  std::string trace;
+  std::map<std::string, std::string> store;
+};
+
+void expect_same_bytes(const CampaignBytes& a, const CampaignBytes& b) {
+  expect_cluster_eq(a.cluster, b.cluster);
+  EXPECT_EQ(a.cluster.aligns_computed, b.cluster.aligns_computed);
+  EXPECT_EQ(a.cluster.aligns_from_store, b.cluster.aligns_from_store);
+  EXPECT_EQ(a.out, b.out);
+  EXPECT_EQ(a.journal, b.journal);
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.store, b.store);
+}
+
+TEST(ClusterCampaign, ByteIdenticalAcrossJobCounts) {
+  FoldUniverse universe(40, 31);
+  const auto records = cluster_records(universe, 14);
+
+  // One campaign against the store in `store_dir`, with a fresh journal
+  // and trace.
+  const PipelineConfig cfg = cluster_campaign_config();
+  const auto run = [&](const std::string& store_dir) {
+    const std::string path = ::testing::TempDir() + "cluster_jobs.sfj";
+    write_file(path, "");
+    CampaignBytes b;
+    obs::TraceRecorder recorder;
+    {
+      CampaignJournal journal(path);
+      store::ArtifactStore store(store_dir);
+      store.open();
+      const CampaignReport rep = Pipeline(universe, cfg).run(records, &journal, &recorder, &store);
+      b.cluster = rep.cluster;
+      b.out = campaign_stdout(rep);
+    }
+    b.journal = read_file(path);
+    b.trace = obs::render_chrome_trace(recorder.doc());
+    b.store = dir_files(store_dir);
+    return b;
+  };
+
+  std::vector<CampaignBytes> cold;
+  std::vector<CampaignBytes> warm;
+  for (const std::size_t threads : thread_counts({1, 2, 3})) {
+    const PinnedCpus pinned(threads);
+    const std::string store_dir = ::testing::TempDir() + "cluster_jobs_store";
+    std::filesystem::remove_all(store_dir);
+    cold.push_back(run(store_dir));
+    warm.push_back(run(store_dir));
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EXPECT_GT(cold.back().cluster.aligns_computed, 0u);
+    EXPECT_EQ(warm.back().cluster.aligns_computed, 0u);
+    EXPECT_EQ(cold.back().out, warm.back().out);
+    expect_same_bytes(cold.front(), cold.back());
+    expect_same_bytes(warm.front(), warm.back());
+  }
+  EXPECT_NE(cold.front().trace.find("cluster-align"), std::string::npos);
+  EXPECT_FALSE(cold.front().store.empty());
+}
+
+TEST(ClusterCampaign, UnreadableStoredAlignmentIsRecomputedOnThreads) {
+  FoldUniverse universe(40, 31);
+  const auto records = cluster_records(universe, 14);
+  const PipelineConfig cfg = cluster_campaign_config();
+  const Pipeline pipeline(universe, cfg);
+  const CampaignReport plain = pipeline.run(records);
+
+  const std::string dir = ::testing::TempDir() + "cluster_torn_store";
+  std::filesystem::remove_all(dir);
+  store::ArtifactStore cold(dir);
+  cold.open();
+  pipeline.run(records, nullptr, nullptr, &cold);
+
+  // Truncate the object of the first stored alignment in canonical pair
+  // order: the manifest still lists it, so the peek counts on a store
+  // hit, but its get() fails the checksum.
+  const std::uint64_t config_fp = store_config_fingerprint(cfg);
+  std::string torn;
+  for (std::size_t a = 0; a < records.size() && torn.empty(); ++a) {
+    for (std::size_t b = a + 1; b < records.size() && torn.empty(); ++b) {
+      const store::ArtifactKey key =
+          store::pair_artifact_key(store::record_fingerprint(records[a]),
+                                   store::record_fingerprint(records[b]), "cluster-align",
+                                   config_fp);
+      if (cold.contains(key)) torn = cold.object_path(key);
+    }
+  }
+  ASSERT_FALSE(torn.empty());
+  const std::string bytes = read_file(torn);
+  write_file(torn, bytes.substr(0, bytes.size() / 2));
+
+  store::ArtifactStore warm(dir);
+  EXPECT_TRUE(warm.open());
+  const CampaignReport rep = pipeline.run(records, nullptr, nullptr, &warm);
+  EXPECT_EQ(campaign_stdout(plain), campaign_stdout(rep));
+  expect_cluster_eq(plain.cluster, rep.cluster);
+  EXPECT_EQ(rep.cluster.aligns_computed, 1u);
+  EXPECT_EQ(rep.cluster.aligns_from_store + 1, rep.cluster.aligned_pairs);
 }
 
 }  // namespace

@@ -351,7 +351,7 @@ TEST(Sfcheck, LiteralsAndCommentsNeverFire) {
 TEST(Sfcheck, WholeFixtureTreeCounts) {
   const auto r = scan({
       "examples/d3_bad.cpp", "src/bio/l1_bad.hpp", "src/core/c1_bad.cpp",
-      "src/core/c1_good.cpp", "src/core/d1_bad.cpp", "src/core/d1_good.cpp",
+      "src/core/c1_fill_slots.cpp", "src/core/c1_good.cpp", "src/core/d1_bad.cpp", "src/core/d1_good.cpp",
       "src/core/d2_bad.cpp", "src/core/d2_good.cpp", "src/core/d3_bad.cpp",
       "src/core/d3_good.cpp", "src/core/d4_bad.cpp", "src/core/d4_good.cpp",
       "src/cluster/d3_bad.cpp", "src/cluster/l1_bad.hpp",
@@ -365,8 +365,8 @@ TEST(Sfcheck, WholeFixtureTreeCounts) {
       "tools/sftrace/l1_bad.cpp",
   });
   // 3 D1 + 3 D2 + 6 D3 + 3 D4 + 4 D5 + 1 SUP + 6 L1 includes + 1 L1
-  // cycle + 2 R1 + 8 C1.
-  EXPECT_EQ(r.diagnostics.size(), 37u);
+  // cycle + 2 R1 + 9 C1.
+  EXPECT_EQ(r.diagnostics.size(), 38u);
   EXPECT_EQ(r.suppressed.size(), 1u);
   // Ordered by (file, line, rule): the include-graph cycle sorts first.
   EXPECT_EQ(r.diagnostics[0].file, "(include-graph)");
@@ -461,6 +461,15 @@ TEST(Sfcheck, C1FlagsImpureTaskLambdas) {
   EXPECT_NE(r.diagnostics[1].message.find("'acc.push_back()'"), std::string::npos);
   EXPECT_NE(r.diagnostics[2].message.find("'acc_total'"), std::string::npos);
   EXPECT_NE(r.diagnostics[3].message.find("'mutable'"), std::string::npos);
+}
+
+TEST(Sfcheck, C1CoversSlotComputerLambdas) {
+  // fill_slots runs its lambda on pool threads: the lambda is a task
+  // entry, so a store call inside it is flagged and its slot write is not.
+  const auto r = scan({"src/core/c1_fill_slots.cpp"});
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  expect_diag(r, 0, "src/core/c1_fill_slots.cpp", 6, "C1");
+  EXPECT_NE(r.diagnostics[0].message.find("'store->put()'"), std::string::npos);
 }
 
 TEST(Sfcheck, C1AllowsLocalsAndPerTaskSlotWrites) {

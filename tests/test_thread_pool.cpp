@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 namespace sf {
 namespace {
@@ -78,6 +81,45 @@ TEST(ThreadPool, ConcurrentSubmitters) {
   for (auto& t : submitters) t.join();
   pool.wait_idle();
   EXPECT_EQ(count.load(), 200);
+}
+
+std::vector<std::size_t> descending(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.rbegin(), order.rend(), std::size_t{0});
+  return order;
+}
+
+TEST(SlotComputer, FillsEverySlotOnceAtAnyThreadCount) {
+  for (const std::size_t threads : {1, 2, 7}) {
+    SlotComputer compute(threads);
+    for (const std::size_t n : {0, 1, 2, 100}) {
+      std::vector<int> slots(n, 0);
+      compute.fill_slots(descending(n), [&](std::size_t k) { slots[k] += 1; });
+      EXPECT_EQ(slots, std::vector<int>(n, 1)) << threads << " threads, " << n << " items";
+    }
+  }
+}
+
+TEST(SlotComputer, OneThreadRunsInlineInTheGivenOrder) {
+  SlotComputer compute(1);
+  std::vector<std::size_t> seen;
+  compute.fill_slots(descending(5), [&](std::size_t k) { seen.push_back(k); });
+  EXPECT_EQ(seen, descending(5));
+}
+
+TEST(SlotComputer, RethrowsAnItemsExceptionAfterTheOtherItemsFinish) {
+  SlotComputer compute(4);
+  std::vector<int> slots(50, 0);
+  EXPECT_THROW(compute.fill_slots(descending(50),
+                                  [&](std::size_t k) {
+                                    if (k == 7) throw std::runtime_error("item 7");
+                                    slots[k] = 1;
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(std::count(slots.begin(), slots.end(), 1), 49);
+  // The pool survives a failed call.
+  compute.fill_slots(descending(50), [&](std::size_t k) { slots[k] = 2; });
+  EXPECT_EQ(std::count(slots.begin(), slots.end(), 2), 50);
 }
 
 }  // namespace

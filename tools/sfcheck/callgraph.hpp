@@ -1,8 +1,9 @@
 // Whole-repo call graph over the symbol index, and the two
 // interprocedural rule families built on it:
 //
-//   R1  taint reachability: starting from executor task-function entry
-//       points (lambdas bound to a TaskFn or passed to Executor::map),
+//   R1  taint reachability: starting from task-function entry points
+//       (lambdas bound to a TaskFn or passed to Executor::map or
+//       SlotComputer::fill_slots),
 //       walk the name-resolved call graph and flag any path reaching a
 //       nondeterminism sink -- wall-clock reads (including the
 //       sanctioned sf::util::wallclock_now() shim), non-sf::Rng

@@ -69,7 +69,8 @@ struct SymbolIndex {
 struct IndexOptions {
   std::vector<std::string> task_fn_types = {"TaskFn"};
   // Method names whose lambda arguments are task functions
-  // (`executor.map(tasks, [&](..){..}, ..)`).
+  // (`executor.map(tasks, [&](..){..}, ..)`); Config::project_default()
+  // adds SlotComputer::fill_slots.
   std::vector<std::string> task_entry_calls = {"map"};
 };
 

@@ -251,7 +251,7 @@ Config Config::project_default() {
                     "sftrace", "store",  "dist", "cluster"};
   cfg.fmt_home = "src/util/string_util";
   cfg.task_fn_types = {"TaskFn"};
-  cfg.task_entry_calls = {"map"};
+  cfg.task_entry_calls = {"map", "fill_slots"};
   cfg.serial_receivers = {"store", "journal"};
   cfg.executor_home = "src/dataflow/executor";
   return cfg;

@@ -37,8 +37,9 @@
 //       bench/ are unrestricted (they are not scanned); tools/<name>/
 //       counts as module <name> when it appears in the rank map
 //       (tools/sftrace does; tools/sfcheck stays unlayered);
-//   R1  interprocedural taint: executor task functions (lambdas bound
-//       to a TaskFn or passed to Executor::map) must not *reach* a
+//   R1  interprocedural taint: task functions (lambdas bound to a
+//       TaskFn or passed to Executor::map, and compute-phase lambdas
+//       passed to SlotComputer::fill_slots) must not *reach* a
 //       nondeterminism sink through any call chain -- wall-clock reads,
 //       non-sf::Rng randomness, naked ofstream, unordered iteration in
 //       emit modules. Diagnostics render the full chain
@@ -111,8 +112,8 @@ struct Config {
   // vsnprintf lives here), exempt from D5's direct-stdio ban.
   std::string fmt_home = "src/util/string_util";
   // Type names whose lambda initializers are executor task functions,
-  // and executor method names whose lambda arguments are (R1/C1 entry
-  // points).
+  // and method names whose lambda arguments are (R1/C1 entry points):
+  // Executor::map and SlotComputer::fill_slots.
   std::vector<std::string> task_fn_types;
   std::vector<std::string> task_entry_calls;
   // Receiver identifiers whose method calls are banned inside task
