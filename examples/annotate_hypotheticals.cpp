@@ -5,6 +5,7 @@
 //
 // Usage: ./examples/annotate_hypotheticals [num_proteins 1..10000, default 20]
 #include <cstdio>
+#include <string_view>
 
 #include "analysis/annotation.hpp"
 #include "analysis/fold_library.hpp"
@@ -16,9 +17,14 @@
 using namespace sf;
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage = "usage: annotate_hypotheticals [num_proteins 1..10000]\n";
   int num_proteins = 20;
+  if (argc == 2 && std::string_view(argv[1]) == "--help") {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   if (argc > 2 || (argc == 2 && !parse_number(argv[1], 1, 10000, num_proteins))) {
-    std::fprintf(stderr, "usage: annotate_hypotheticals [num_proteins 1..10000]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
 

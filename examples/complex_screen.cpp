@@ -9,6 +9,7 @@
 // Usage: ./examples/complex_screen [num_proteins 2..500, default 14]
 //                                   [iscore_cutoff 0..1, default 0.35]
 #include <cstdio>
+#include <string_view>
 
 #include "bio/proteome.hpp"
 #include "bio/species.hpp"
@@ -20,11 +21,17 @@
 using namespace sf;
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: complex_screen [num_proteins 2..500] [iscore_cutoff 0..1]\n";
   int num_proteins = 14;
   double cutoff = 0.35;
+  if (argc == 2 && std::string_view(argv[1]) == "--help") {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   if (argc > 3 || (argc > 1 && !parse_number(argv[1], 2, 500, num_proteins)) ||
       (argc > 2 && !parse_number(argv[2], 0.0, 1.0, cutoff))) {
-    std::fprintf(stderr, "usage: complex_screen [num_proteins 2..500] [iscore_cutoff 0..1]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
 

@@ -7,8 +7,9 @@
 //   4. relax the top model with the optimized single-pass protocol
 //   5. score the result and write PDB files you can open in PyMOL
 //
-// Build & run:  ./examples/quickstart
+// Build & run:  ./examples/quickstart   (no arguments; --help prints usage)
 #include <cstdio>
+#include <string_view>
 
 #include "bio/proteome.hpp"
 #include "bio/species.hpp"
@@ -22,7 +23,20 @@
 
 using namespace sf;
 
-int main() {
+int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: quickstart\n"
+      "Folds one synthetic protein end to end and writes quickstart_model.pdb\n"
+      "and quickstart_native.pdb to the working directory. Takes no arguments.\n";
+  if (argc == 2 && std::string_view(argv[1]) == "--help") {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  if (argc > 1) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+
   // 1. A world with 200 fold families and one D. vulgaris-like protein.
   FoldUniverse universe(200, /*seed=*/42);
   ProteomeGenerator generator(universe, species_d_vulgaris(), /*seed=*/7);

@@ -8,6 +8,7 @@
 // Usage: ./examples/relax_compare [num_targets 1..1000, default 12]
 #include <cstdio>
 #include <future>
+#include <string_view>
 #include <vector>
 
 #include "bio/proteome.hpp"
@@ -25,9 +26,14 @@
 using namespace sf;
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage = "usage: relax_compare [num_targets 1..1000]\n";
   int num_targets = 12;
+  if (argc == 2 && std::string_view(argv[1]) == "--help") {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   if (argc > 2 || (argc == 2 && !parse_number(argv[1], 1, 1000, num_targets))) {
-    std::fprintf(stderr, "usage: relax_compare [num_targets 1..1000]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
 

@@ -29,10 +29,6 @@ constexpr std::array<double, 20> kStrandProp = {0.83, 0.93, 0.89, 0.54, 1.19, 1.
                                                 0.75, 0.87, 1.60, 1.30, 0.74, 1.05, 1.38,
                                                 0.55, 0.75, 1.19, 1.37, 1.47, 1.70};
 
-constexpr std::array<double, 20> kHydropathy = {1.8,  -4.5, -3.5, -3.5, 2.5,  -3.5, -3.5,
-                                                -0.4, -3.2, 4.5,  3.8,  -3.9, 1.9,  2.8,
-                                                -1.6, -0.8, -0.7, -0.9, -1.3, 4.2};
-
 // BLOSUM62, rows/cols in kAminoAcids order (ARNDCQEGHILKMFPSTWYV).
 constexpr std::array<std::array<std::int8_t, 20>, 20> kBlosum62 = {{
     {4, -1, -2, -2, 0, -1, -1, 0, -2, -1, -1, -1, -1, -2, -1, 1, 0, -3, -2, 0},
@@ -68,8 +64,6 @@ char aa_from_index(int idx) {
   return (idx >= 0 && idx < kNumAminoAcids) ? kAminoAcids[static_cast<std::size_t>(idx)] : 'X';
 }
 
-bool is_standard_aa(char aa) { return aa_index(aa) >= 0; }
-
 int aa_heavy_atoms(char aa) {
   const int i = aa_index(aa);
   return i >= 0 ? kHeavyAtoms[static_cast<std::size_t>(i)] : 5;
@@ -92,11 +86,6 @@ double aa_helix_propensity(char aa) {
 double aa_strand_propensity(char aa) {
   const int i = aa_index(aa);
   return i >= 0 ? kStrandProp[static_cast<std::size_t>(i)] : 1.0;
-}
-
-double aa_hydropathy(char aa) {
-  const int i = aa_index(aa);
-  return i >= 0 ? kHydropathy[static_cast<std::size_t>(i)] : 0.0;
 }
 
 int blosum62(char a, char b) {

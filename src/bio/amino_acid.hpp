@@ -20,7 +20,6 @@ inline constexpr std::string_view kAminoAcids = "ARNDCQEGHILKMFPSTWYV";
 // Index of a one-letter code in kAminoAcids; -1 if not a standard residue.
 int aa_index(char aa);
 char aa_from_index(int idx);
-bool is_standard_aa(char aa);
 
 // Heavy (non-hydrogen) atoms per residue, backbone included
 // (GLY 4 ... TRP 14). Unknown residues get the ALA value.
@@ -38,9 +37,6 @@ double aa_background_freq(char aa);
 // Chou-Fasman-style propensities, normalized around 1.0.
 double aa_helix_propensity(char aa);
 double aa_strand_propensity(char aa);
-
-// Kyte-Doolittle hydropathy.
-double aa_hydropathy(char aa);
 
 // BLOSUM62 substitution score (integers, standard matrix).
 int blosum62(char a, char b);

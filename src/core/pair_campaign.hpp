@@ -86,7 +86,9 @@ class PairCampaign {
                PairCampaignConfig pairs = {});
 
   const PipelineConfig& config() const { return config_; }
-  const PairCampaignConfig& pair_config() const { return pair_config_; }
+  const PairCampaignConfig& pair_config() const {  // sfcheck:allow(U1): test_pair_campaign replays the screen through predict_pair with it
+    return pair_config_;
+  }
 
   // Canonical pair enumeration: i-major with i < j, truncated to
   // max_pairs when nonzero. Pair index k is the position in this list.

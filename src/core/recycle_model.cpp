@@ -20,7 +20,6 @@ void RecycleModel::observe(double hardness, int length, int recycles_run, bool c
   const Obs obs{recycles_run, converged};
   bins_[hardness_bin(hardness)][length_bin(length)].push_back(obs);
   all_.push_back(obs);
-  ++total_;
 }
 
 RecycleModel::Draw RecycleModel::sample(double hardness, int length, Rng& rng) const {

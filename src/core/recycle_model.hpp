@@ -24,8 +24,6 @@ class RecycleModel {
   // Observation: a measured task's recycle count.
   void observe(double hardness, int length, int recycles_run, bool converged);
 
-  std::size_t observations() const { return total_; }
-
   // Draw a recycle count for an unmeasured task; deterministic in `rng`
   // state. Falls back to neighboring bins, then to the global pool.
   struct Draw {
@@ -46,7 +44,6 @@ class RecycleModel {
   };
   std::vector<Obs> bins_[kHardnessBins][kLengthBins];
   std::vector<Obs> all_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace sf

@@ -68,21 +68,4 @@ void print_campaign(std::ostream& out, const CampaignReport& report,
                 report.total_summit_node_hours(), report.total_andes_node_hours());
 }
 
-void write_stage_csv(std::ostream& out, const CampaignReport& report) {
-  out << "stage,wall_s,node_hours,nodes,tasks,failed_tasks,retry_attempts,rerouted_tasks,"
-         "crash_attempts,transient_attempts,oom_attempts,intrinsic_failures,"
-         "straggler_attempts,stalled_attempts,workers_lost,"
-         "lost_work_s,straggler_delay_s,stall_delay_s,backoff_delay_s\n";
-  const StageReport* stages[3] = {&report.features, &report.inference, &report.relaxation};
-  for (const StageReport* s : stages) {
-    const FaultAccounting& f = s->faults;
-    out << format("%s,%.3f,%.3f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%.3f,%.3f\n",
-                  s->name.c_str(), s->wall_s, s->node_hours, s->nodes, s->tasks, s->failed_tasks,
-                  s->retry_attempts, s->rerouted_tasks, f.crash_attempts, f.transient_attempts,
-                  f.oom_attempts, f.intrinsic_failures, f.straggler_attempts, f.stalled_attempts,
-                  f.workers_lost, f.lost_work_s, f.straggler_delay_s, f.stall_delay_s,
-                  f.backoff_delay_s);
-  }
-}
-
 }  // namespace sf

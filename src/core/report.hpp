@@ -16,10 +16,4 @@ void print_stage(std::ostream& out, const StageReport& stage);
 void print_campaign(std::ostream& out, const CampaignReport& report,
                     const SpeciesProfile& species);
 
-// CSV over the three stages with per-fault-class accounting columns, so
-// campaign post-mortems can attribute lost node time to fault kinds
-// (crash / transient / injected-OOM / straggler / fs-stall) rather than
-// a single opaque "failed" count. Layout is locked by tests/test_report.
-void write_stage_csv(std::ostream& out, const CampaignReport& report);
-
 }  // namespace sf

@@ -5,18 +5,6 @@
 
 namespace sf {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kWorkerCrash: return "worker_crash";
-    case FaultKind::kTransient: return "transient";
-    case FaultKind::kOom: return "oom";
-    case FaultKind::kStraggler: return "straggler";
-    case FaultKind::kFsStall: return "fs_stall";
-  }
-  return "unknown";
-}
-
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t stream)
     : plan_(plan), stream_(stream) {}
 

@@ -45,8 +45,6 @@ enum class FaultKind : int {
   kFsStall,
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 // Seeded fault schedule. Rates are per-task probabilities; each task is
 // assigned at most one fault class (first match on a cumulative draw, in
 // declaration order: crash, transient, oom, straggler, stall).

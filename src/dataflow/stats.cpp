@@ -1,7 +1,5 @@
 #include "dataflow/stats.hpp"
 
-#include <istream>
-#include <stdexcept>
 #include <string>
 
 #include "util/csv.hpp"
@@ -19,29 +17,6 @@ void write_task_stats_csv(std::ostream& out, const std::vector<TaskRecord>& reco
 
 void write_task_stats_csv_file(const std::string& path, const std::vector<TaskRecord>& records) {
   write_file_atomic(path, [&](std::ostream& out) { write_task_stats_csv(out, records); });
-}
-
-std::vector<TaskRecord> read_task_stats_csv(std::istream& in) {
-  std::vector<TaskRecord> records;
-  std::string line;
-  bool header = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (header) {
-      header = false;
-      continue;
-    }
-    const auto fields = parse_csv_line(line);
-    if (fields.size() != 5) throw std::runtime_error("task stats CSV: bad row: " + line);
-    TaskRecord r;
-    r.task_id = std::stoull(fields[0]);
-    r.name = fields[1];
-    r.worker = std::stoi(fields[2]);
-    r.start_s = std::stod(fields[3]);
-    r.end_s = std::stod(fields[4]);
-    records.push_back(std::move(r));
-  }
-  return records;
 }
 
 }  // namespace sf

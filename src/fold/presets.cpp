@@ -1,7 +1,6 @@
 #include "fold/presets.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace sf {
 
@@ -38,17 +37,6 @@ PresetConfig preset_super() {
   p.name = "super";
   p.convergence_tol_A = 0.1;
   return p;
-}
-
-std::vector<PresetConfig> all_presets() {
-  return {preset_reduced_db(), preset_genome(), preset_super(), preset_casp14()};
-}
-
-PresetConfig preset_by_name(const std::string& name) {
-  for (auto& p : all_presets()) {
-    if (p.name == name) return p;
-  }
-  throw std::invalid_argument("unknown preset: " + name);
 }
 
 int effective_max_recycles(const PresetConfig& preset, int length) {

@@ -32,9 +32,6 @@ PresetConfig preset_reduced_db();
 PresetConfig preset_casp14();
 PresetConfig preset_genome();
 PresetConfig preset_super();
-std::vector<PresetConfig> all_presets();
-// Lookup by name; throws std::invalid_argument for unknown names.
-PresetConfig preset_by_name(const std::string& name);
 
 // The recycle cap for a sequence of `length` under `preset`: fixed
 // presets return max_recycles; dynamic presets decay 20 -> 6 linearly

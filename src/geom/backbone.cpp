@@ -227,8 +227,11 @@ void build_full_atoms(Structure& s) {
   }
 }
 
-Structure build_structure(const std::string& name, const std::vector<ResidueSpec>& spec,
-                          const std::string& ss, Rng& rng, const CaTraceParams& params) {
+// The structure fixture of the geometry and relax suites; no product
+// builds a structure from a residue spec.
+Structure build_structure(const std::string& name,  // sfcheck:allow(U1): fixture of test_backbone, test_forcefield, test_minimize, test_specs
+                          const std::vector<ResidueSpec>& spec, const std::string& ss, Rng& rng,
+                          const CaTraceParams& params) {
   Structure s(name);
   s.reserve(spec.size());
   for (const auto& rs : spec) {

@@ -39,18 +39,4 @@ double Distogram::mean_abs_change(const Distogram& other) const {
   return sum / static_cast<double>(pairs) * bin_width();
 }
 
-double Distogram::contact_order_fraction() const {
-  if (n_ < 4) return 0.0;
-  const std::uint8_t contact_bin = distance_to_bin(8.0);
-  std::size_t contacts = 0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i + 3; j < n_; ++j) {
-      if (bins_[i * n_ + j] <= contact_bin) ++contacts;
-      ++pairs;
-    }
-  }
-  return pairs > 0 ? static_cast<double>(contacts) / static_cast<double>(pairs) : 0.0;
-}
-
 }  // namespace sf

@@ -27,7 +27,6 @@ class Distogram {
   Distogram() = default;
   explicit Distogram(const std::vector<Vec3>& ca);
 
-  std::size_t num_residues() const { return n_; }
   // Bin index of pair (i, j); distances beyond the range clamp to the
   // edge bins, as in AlphaFold's final catch-all bin.
   std::uint8_t bin(std::size_t i, std::size_t j) const { return bins_[i * n_ + j]; }
@@ -39,9 +38,6 @@ class Distogram {
   // the result is in Angstrom units (comparable to ColabFold's distogram
   // tolerance values). Structures must have equal residue counts.
   double mean_abs_change(const Distogram& other) const;
-
-  // Fraction of residue pairs (|i-j| >= 3) with CA-CA distance < 8 A.
-  double contact_order_fraction() const;
 
  private:
   std::size_t n_ = 0;

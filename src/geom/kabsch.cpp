@@ -87,20 +87,6 @@ Mat3 rotation_about_axis(const Vec3& axis, double angle) {
   return r;
 }
 
-void symmetric_eigen3(const Mat3& sym, double eigenvalues[3], Mat3& vectors) {
-  std::array<std::array<double, 3>, 3> a{};
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) a[i][j] = sym.m[i][j];
-  }
-  std::array<double, 3> vals{};
-  std::array<std::array<double, 3>, 3> vecs{};
-  jacobi_eigen<3>(a, vals, vecs);
-  for (int i = 0; i < 3; ++i) {
-    eigenvalues[i] = vals[i];
-    for (int j = 0; j < 3; ++j) vectors.m[i][j] = vecs[i][j];
-  }
-}
-
 Superposition superposition_from_covariance(const double S[3][3], const Vec3& mobile_centroid,
                                             const Vec3& target_centroid) {
   // Horn's quaternion method: the rotation is encoded in the dominant
@@ -142,22 +128,6 @@ Superposition superposition_from_covariance(const double S[3][3], const Vec3& mo
   return sp;
 }
 
-Superposition kabsch_weighted(const std::vector<Vec3>& mobile, const std::vector<Vec3>& target,
-                              const std::vector<double>& weights) {
-  if (mobile.size() != target.size() || mobile.size() != weights.size() || mobile.empty()) {
-    throw std::invalid_argument("kabsch_weighted: size mismatch or empty input");
-  }
-  double wsum = 0.0;
-  for (double w : weights) wsum += w;
-  if (wsum <= 0.0) throw std::invalid_argument("kabsch_weighted: non-positive weight sum");
-  const auto m = [&](std::size_t i) -> const Vec3& { return mobile[i]; };
-  const auto t = [&](std::size_t i) -> const Vec3& { return target[i]; };
-  const auto w = [&](std::size_t i) { return weights[i]; };
-  Superposition sp = superpose(mobile.size(), m, t, w, wsum);
-  sp.rmsd = superposition_rmsd(sp, mobile.size(), m, t, w, wsum);
-  return sp;
-}
-
 Superposition kabsch(const std::vector<Vec3>& mobile, const std::vector<Vec3>& target) {
   if (mobile.size() != target.size() || mobile.empty()) {
     throw std::invalid_argument("kabsch: size mismatch or empty input");
@@ -168,19 +138,6 @@ Superposition kabsch(const std::vector<Vec3>& mobile, const std::vector<Vec3>& t
   Superposition sp = superpose(mobile.size(), m, t, kUnitWeight, wsum);
   sp.rmsd = superposition_rmsd(sp, mobile.size(), m, t, kUnitWeight, wsum);
   return sp;
-}
-
-double superposed_rmsd(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
-  return kabsch(a, b).rmsd;
-}
-
-double raw_rmsd(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
-  if (a.size() != b.size() || a.empty()) {
-    throw std::invalid_argument("raw_rmsd: size mismatch or empty input");
-  }
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += distance2(a[i], b[i]);
-  return std::sqrt(s / static_cast<double>(a.size()));
 }
 
 }  // namespace sf

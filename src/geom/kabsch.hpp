@@ -30,10 +30,6 @@ struct Superposition {
 // With size 1 or 2 a valid (degenerate) solution is still returned.
 Superposition kabsch(const std::vector<Vec3>& mobile, const std::vector<Vec3>& target);
 
-// Weighted variant; weights must be non-negative, same length as points.
-Superposition kabsch_weighted(const std::vector<Vec3>& mobile, const std::vector<Vec3>& target,
-                              const std::vector<double>& weights);
-
 // Rotation from the cross-covariance cov[a][b] = sum_i w_i m_a t_b of
 // centred point pairs, and the translation taking `mobile_centroid` onto
 // `target_centroid`; rmsd is left 0.
@@ -83,16 +79,5 @@ double superposition_rmsd(const Superposition& sp, std::size_t n, const MobileAt
   for (std::size_t i = 0; i < n; ++i) e += weight(i) * distance2(sp.apply(mobile(i)), target(i));
   return std::sqrt(std::max(0.0, e) / wsum);
 }
-
-// RMSD after optimal superposition (convenience).
-double superposed_rmsd(const std::vector<Vec3>& a, const std::vector<Vec3>& b);
-
-// RMSD without superposition (coordinates compared as-is).
-double raw_rmsd(const std::vector<Vec3>& a, const std::vector<Vec3>& b);
-
-// Jacobi eigendecomposition of a symmetric 3x3 matrix.
-// Returns eigenvalues (descending) and matching unit eigenvectors as the
-// columns of `vectors`.
-void symmetric_eigen3(const Mat3& sym, double eigenvalues[3], Mat3& vectors);
 
 }  // namespace sf

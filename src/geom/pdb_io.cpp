@@ -1,10 +1,7 @@
 #include "geom/pdb_io.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
+#include <ostream>
 
 #include "util/file_io.hpp"
 
@@ -38,16 +35,6 @@ const char* three_letter(char aa) {
   }
 }
 
-char one_letter(const std::string& res) {
-  static const std::map<std::string, char> table = {
-      {"ALA", 'A'}, {"ARG", 'R'}, {"ASN", 'N'}, {"ASP", 'D'}, {"CYS", 'C'},
-      {"GLN", 'Q'}, {"GLU", 'E'}, {"GLY", 'G'}, {"HIS", 'H'}, {"ILE", 'I'},
-      {"LEU", 'L'}, {"LYS", 'K'}, {"MET", 'M'}, {"PHE", 'F'}, {"PRO", 'P'},
-      {"SER", 'S'}, {"THR", 'T'}, {"TRP", 'W'}, {"TYR", 'Y'}, {"VAL", 'V'}};
-  const auto it = table.find(res);
-  return it != table.end() ? it->second : 'X';
-}
-
 void write_atom(std::ostream& out, int serial, const char* atom_name, char aa, int res_seq,
                 const Vec3& p) {
   char line[96];
@@ -77,59 +64,8 @@ void write_pdb(std::ostream& out, const Structure& s) {
   out << "TER\nEND\n";
 }
 
-std::string to_pdb_string(const Structure& s) {
-  std::ostringstream ss;
-  write_pdb(ss, s);
-  return ss.str();
-}
-
 void write_pdb_file(const std::string& path, const Structure& s) {
   write_file_atomic(path, [&](std::ostream& out) { write_pdb(out, s); });
-}
-
-Structure read_pdb(std::istream& in, const std::string& name) {
-  Structure s(name);
-  std::string line;
-  int current_res = -1;
-  while (std::getline(in, line)) {
-    if (line.rfind("ATOM", 0) != 0) continue;
-    if (line.size() < 54) throw std::runtime_error("read_pdb: truncated ATOM record");
-    const std::string atom_name(line.substr(12, 4));
-    const std::string res_name(line.substr(17, 3));
-    const int res_seq = std::stoi(line.substr(22, 4));
-    const Vec3 p{std::stod(line.substr(30, 8)), std::stod(line.substr(38, 8)),
-                 std::stod(line.substr(46, 8))};
-    if (res_seq != current_res) {
-      Residue r;
-      r.aa = one_letter(res_name);
-      s.add_residue(r);
-      current_res = res_seq;
-    }
-    Residue& r = s.residues().back();
-    const std::string trimmed(atom_name.find_first_not_of(' ') == std::string::npos
-                                  ? ""
-                                  : atom_name.substr(atom_name.find_first_not_of(' '),
-                                                     atom_name.find_last_not_of(' ') -
-                                                         atom_name.find_first_not_of(' ') + 1));
-    if (trimmed == "N") r.n = p;
-    else if (trimmed == "CA") r.ca = p;
-    else if (trimmed == "C") r.c = p;
-    else if (trimmed == "O") r.o = p;
-    else if (trimmed == "CB") { r.cb = p; r.has_cb = true; }
-    else if (trimmed == "SC") { r.sc = p; r.has_sc = true; }
-  }
-  return s;
-}
-
-Structure read_pdb_string(const std::string& text, const std::string& name) {
-  std::istringstream ss(text);
-  return read_pdb(ss, name);
-}
-
-Structure read_pdb_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_pdb_file: cannot open " + path);
-  return read_pdb(in, path);
 }
 
 }  // namespace sf

@@ -1,8 +1,6 @@
-// Minimal PDB-format reader/writer for the reduced heavy-atom model.
+// Minimal PDB-format writer for the reduced heavy-atom model.
 //
-// Output is standard-enough ATOM records to load in PyMOL/ChimeraX;
-// input understands what this writer produces (plus plain CA-only files),
-// which is all the pipeline's artifacts need.
+// Output is standard-enough ATOM records to load in PyMOL/ChimeraX.
 #pragma once
 
 #include <iosfwd>
@@ -14,15 +12,7 @@ namespace sf {
 
 // Write ATOM records for all modeled atoms of `s`.
 void write_pdb(std::ostream& out, const Structure& s);
-std::string to_pdb_string(const Structure& s);
 // Write to a file path; throws std::runtime_error on failure.
 void write_pdb_file(const std::string& path, const Structure& s);
-
-// Parse ATOM records back into a Structure. Atoms other than
-// N/CA/C/O/CB/SC are ignored; residues are ordered by residue number.
-// Throws std::runtime_error on malformed input.
-Structure read_pdb(std::istream& in, const std::string& name = "model");
-Structure read_pdb_string(const std::string& text, const std::string& name = "model");
-Structure read_pdb_file(const std::string& path);
 
 }  // namespace sf

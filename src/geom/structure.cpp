@@ -61,16 +61,6 @@ void Structure::set_all_atom_coords(const std::vector<Vec3>& coords) {
   if (k != coords.size()) throw std::invalid_argument("set_all_atom_coords: too many coords");
 }
 
-std::size_t Structure::modeled_atom_count() const {
-  std::size_t n = 0;
-  for (const auto& r : residues_) {
-    n += 4;
-    if (r.has_cb) ++n;
-    if (r.has_sc) ++n;
-  }
-  return n;
-}
-
 long Structure::heavy_atom_count() const {
   long n = 0;
   for (const auto& r : residues_) n += r.heavy_atoms;

@@ -63,7 +63,6 @@ class Structure {
   // ordering being stable.
   std::vector<Vec3> all_atom_coords() const;
   void set_all_atom_coords(const std::vector<Vec3>& coords);
-  std::size_t modeled_atom_count() const;
 
   // Total chemical heavy atoms (sum of per-residue counts) -- the Fig. 4
   // x-axis quantity.

@@ -84,20 +84,6 @@ struct Mat3 {
     }
     return r;
   }
-
-  Mat3 transpose() const {
-    Mat3 r;
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < 3; ++j) r.m[i][j] = m[j][i];
-    }
-    return r;
-  }
-
-  double det() const {
-    return m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1]) -
-           m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0]) +
-           m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]);
-  }
 };
 
 // Rotation by angle (radians) about a unit axis (Rodrigues' formula).

@@ -20,9 +20,6 @@ namespace sf {
 struct ViolationReport {
   std::size_t clashes = 0;  // CA-CA < 1.9 A (nonadjacent pairs)
   std::size_t bumps = 0;    // CA-CA < 3.6 A (nonadjacent pairs; includes clashes)
-
-  // CASP "clashed model" rule.
-  bool is_clashed() const { return clashes > 4 || bumps > 50; }
 };
 
 inline constexpr double kClashDistance = 1.9;

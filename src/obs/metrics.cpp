@@ -113,16 +113,6 @@ Histogram duration_histogram(const StageMetrics& metrics, std::size_t bins) {
   return h;
 }
 
-std::vector<double> worker_busy_timeline(const StageTrace& stage) {
-  std::vector<double> busy(static_cast<std::size_t>(std::max(1, stage.info.primary.workers)), 0.0);
-  for (const TraceSpan& s : stage.spans) {
-    if (s.alt_pool) continue;
-    const auto w = static_cast<std::size_t>(s.worker);
-    if (w < busy.size()) busy[w] += s.duration_s();
-  }
-  return busy;
-}
-
 std::string render_trace_timeline(const StageTrace& stage, std::size_t rows, std::size_t width) {
   if (width < 8) width = 8;
   // Sample `rows` evenly spaced primary workers that ran at least one span.

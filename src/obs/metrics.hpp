@@ -99,10 +99,6 @@ ServiceMetrics compute_service_metrics(const ServiceTrace& service);
 // Per-stage duration histogram over [0, max duration], ready to render.
 Histogram duration_histogram(const StageMetrics& metrics, std::size_t bins = 12);
 
-// Per-worker busy seconds on the primary pool, indexed by worker id
-// (canonical width; idle workers report 0).
-std::vector<double> worker_busy_timeline(const StageTrace& stage);
-
 // Fig. 2-style text timeline: `rows` evenly sampled primary workers,
 // '#' processing, '|' attempt boundary, '.' idle, one worker per line.
 std::string render_trace_timeline(const StageTrace& stage, std::size_t rows = 10,

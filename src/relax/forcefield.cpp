@@ -87,11 +87,6 @@ void for_each_close_ca_pair(const std::vector<Vec3>& coords, const std::vector<i
 
 }  // namespace
 
-double ForceField::energy(const std::vector<Vec3>& coords) const {
-  std::vector<Vec3> scratch;
-  return energy_and_gradient(coords, scratch);
-}
-
 double ForceField::energy_and_gradient(const std::vector<Vec3>& coords,
                                        std::vector<Vec3>& grad) const {
   grad.assign(natoms_, Vec3{});

@@ -43,13 +43,9 @@ class ForceField {
  public:
   ForceField(const Structure& reference, ForceFieldParams params = {});
 
-  std::size_t num_atoms() const { return natoms_; }
-  std::size_t num_bonds() const { return bonds_.size(); }
   const ForceFieldParams& params() const { return params_; }
 
-  // Potential energy (kcal/mol) at `coords`.
-  double energy(const std::vector<Vec3>& coords) const;
-  // Energy and gradient (dE/dx, kcal/mol/A); grad resized/overwritten.
+  // Potential energy (kcal/mol) at `coords` and its gradient (dE/dx, kcal/mol/A); grad resized/overwritten.
   double energy_and_gradient(const std::vector<Vec3>& coords, std::vector<Vec3>& grad) const;
 
  private:

@@ -216,11 +216,6 @@ AlignmentResult smith_waterman(std::string_view query, std::string_view subject,
   return align(query, subject, params, /*local=*/true, 0, -1);
 }
 
-AlignmentResult needleman_wunsch(std::string_view query, std::string_view subject,
-                                 const AlignmentParams& params) {
-  return align(query, subject, params, /*local=*/false, 0, -1);
-}
-
 AlignmentResult banded_smith_waterman(std::string_view query, std::string_view subject,
                                       int diagonal, int band, const AlignmentParams& params) {
   return align(query, subject, params, /*local=*/true, diagonal, std::max(band, 1));
@@ -231,12 +226,6 @@ double evalue(int score, std::size_t query_length, std::size_t library_residues)
   constexpr double kK = 0.041;
   return kK * static_cast<double>(query_length) * static_cast<double>(library_residues) *
          std::exp(-kLambda * static_cast<double>(score));
-}
-
-double bit_score(int score) {
-  constexpr double kLambda = 0.267;
-  constexpr double kK = 0.041;
-  return (kLambda * static_cast<double>(score) - std::log(kK)) / std::log(2.0);
 }
 
 }  // namespace sf

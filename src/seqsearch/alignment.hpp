@@ -35,10 +35,6 @@ struct AlignmentResult {
 AlignmentResult smith_waterman(std::string_view query, std::string_view subject,
                                const AlignmentParams& params = {});
 
-// Global (Needleman-Wunsch) alignment with affine gaps.
-AlignmentResult needleman_wunsch(std::string_view query, std::string_view subject,
-                                 const AlignmentParams& params = {});
-
 // Banded local alignment constrained to |((i - j) - diagonal)| <= band.
 // Used downstream of k-mer seeding; equals full SW when the band covers
 // the true optimum.
@@ -50,7 +46,5 @@ AlignmentResult banded_smith_waterman(std::string_view query, std::string_view s
 // library of `library_residues` total residues. Parameters are the
 // standard BLOSUM62 gapped estimates (lambda ~ 0.267, K ~ 0.041).
 double evalue(int score, std::size_t query_length, std::size_t library_residues);
-// The corresponding bit score.
-double bit_score(int score);
 
 }  // namespace sf

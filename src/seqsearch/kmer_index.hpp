@@ -27,7 +27,6 @@ class KmerIndex {
   explicit KmerIndex(int k = 5);
 
   int k() const { return k_; }
-  std::size_t indexed_sequences() const { return lengths_.size(); }
 
   // Add one sequence; ids are assigned densely in insertion order.
   void add_sequence(std::string_view residues);

@@ -111,15 +111,4 @@ double InputFeatures::feature_bytes() const {
   return bytes + 4096.0;
 }
 
-InputFeatures features_from_msa(const Msa& msa, int query_length, bool has_templates) {
-  InputFeatures f;
-  f.target_id = msa.query_id();
-  f.length = query_length;
-  f.msa_depth = static_cast<int>(msa.depth());
-  f.neff = msa.effective_depth();
-  f.mean_identity = msa.mean_identity();
-  f.has_templates = has_templates;
-  return f;
-}
-
 }  // namespace sf

@@ -64,6 +64,4 @@ struct InputFeatures {
   double feature_bytes() const;
 };
 
-InputFeatures features_from_msa(const Msa& msa, int query_length, bool has_templates);
-
 }  // namespace sf

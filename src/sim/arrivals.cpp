@@ -89,14 +89,6 @@ std::vector<ArrivalEvent> degenerate_arrivals(std::size_t num_records) {
   return events;
 }
 
-std::string format_arrivals(const std::vector<ArrivalEvent>& events) {
-  std::string out;
-  for (const auto& ev : events) {
-    out += format("%d %.17g %zu %zu\n", ev.request_id, ev.time_s, ev.tenant, ev.record);
-  }
-  return out;
-}
-
 std::uint64_t arrivals_fingerprint(const std::vector<ArrivalEvent>& events) {
   std::uint64_t fp = 0xA221A221A221A221ULL;
   for (const auto& ev : events) {

@@ -54,10 +54,6 @@ std::vector<ArrivalEvent> generate_arrivals(const ArrivalProcessParams& params,
 // order.
 std::vector<ArrivalEvent> degenerate_arrivals(std::size_t num_records);
 
-// Canonical text rendering (one line per event, %.17g times): the byte
-// stream the determinism tests compare, and what --arrivals dumps.
-std::string format_arrivals(const std::vector<ArrivalEvent>& events);
-
 // Order-sensitive 64-bit digest of a stream; mixed into the journal
 // fingerprint so a journal can only resume the campaign it belongs to.
 std::uint64_t arrivals_fingerprint(const std::vector<ArrivalEvent>& events);

@@ -104,12 +104,4 @@ double BatchScheduler::makespan(const std::vector<ScheduledJob>& schedule) {
   return m;
 }
 
-double BatchScheduler::node_seconds(const std::vector<ScheduledJob>& schedule) {
-  double total = 0.0;
-  for (const auto& s : schedule) {
-    total += static_cast<double>(s.job.nodes) * (s.end_s - s.start_s);
-  }
-  return total;
-}
-
 }  // namespace sf

@@ -48,8 +48,6 @@ class BatchScheduler {
 
   // Makespan of a schedule (max end time).
   static double makespan(const std::vector<ScheduledJob>& schedule);
-  // Total node-seconds consumed.
-  static double node_seconds(const std::vector<ScheduledJob>& schedule);
 
  private:
   int total_nodes_;

@@ -28,19 +28,6 @@ MachineSpec andes() {
   return m;
 }
 
-MachineSpec phoenix() {
-  MachineSpec m;
-  m.name = "phoenix";
-  m.nodes = 1200;          // ~1100 CPU + ~100 GPU nodes
-  m.cores_per_node = 24;   // GPU nodes: 2x 12-core Xeon 6226
-  m.gpus_per_node = 4;     // RTX6000, 24 GB
-  m.node_mem_gb = 192.0;
-  m.gpu_mem_gb = 24.0;
-  m.gpu_speed = 0.75;      // RTX6000 FP32-leaning vs V100 for this workload
-  m.cpu_node_speed = 0.8;
-  return m;
-}
-
 WorkerPool summit_gpu_pool(int nodes) {
   return {"summit-gpu", nodes, summit().gpus_per_node, 1.0};
 }

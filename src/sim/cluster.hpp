@@ -29,7 +29,6 @@ struct MachineSpec {
 
 MachineSpec summit();
 MachineSpec andes();
-MachineSpec phoenix();
 
 // A named slice of a machine used as a dataflow worker pool: `nodes`
 // allocated nodes exposing `workers_per_node` dataflow workers each

@@ -19,21 +19,8 @@ SimTime SimEngine::run() {
     Event ev = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     now_ = ev.time;
-    ++processed_;
     ev.fn();
   }
-  return now_;
-}
-
-SimTime SimEngine::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().time <= deadline) {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    now_ = ev.time;
-    ++processed_;
-    ev.fn();
-  }
-  now_ = std::max(now_, deadline);
   return now_;
 }
 

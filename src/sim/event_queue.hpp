@@ -26,15 +26,9 @@ class SimEngine {
   void schedule_after(SimTime delay, std::function<void()> fn);
 
   bool empty() const { return queue_.empty(); }
-  std::size_t pending_events() const { return queue_.size(); }
 
   // Run until the queue drains; returns the final simulation time.
   SimTime run();
-  // Run until the queue drains or `deadline` passes (events beyond the
-  // deadline stay queued).
-  SimTime run_until(SimTime deadline);
-
-  std::uint64_t events_processed() const { return processed_; }
 
  private:
   struct Event {
@@ -51,7 +45,6 @@ class SimEngine {
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

@@ -82,11 +82,4 @@ LaunchPlan paper_inference_launch(int nodes) {
   return plan;
 }
 
-LaunchPlan paper_relaxation_launch(int nodes) {
-  LaunchPlan plan = paper_inference_launch(nodes);
-  plan.job_name = "af2_relaxation";
-  plan.walltime_hours = 1.0;
-  return plan;
-}
-
 }  // namespace sf

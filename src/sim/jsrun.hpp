@@ -48,8 +48,5 @@ struct LaunchPlan {
 
 // The paper's three-jsrun inference layout for `nodes` Summit nodes.
 LaunchPlan paper_inference_launch(int nodes);
-// The relaxation workflow launch (§3.4): same topology, GPU workers
-// running minimizations.
-LaunchPlan paper_relaxation_launch(int nodes);
 
 }  // namespace sf

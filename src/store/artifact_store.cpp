@@ -56,9 +56,7 @@ ArtifactStore::ArtifactStore(std::string dir, StorePolicy policy)
 bool ArtifactStore::open() {
   std::error_code ec;
   std::filesystem::create_directories(dir_ + "/objects", ec);
-  const bool warm = manifest_.load();
-  opened_ = true;
-  return warm;
+  return manifest_.load();
 }
 
 void ArtifactStore::begin_stage(const std::string& stage, const StagingPricer& pricer) {

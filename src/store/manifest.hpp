@@ -81,7 +81,9 @@ class Manifest {
   const ManifestEntry* find(const ArtifactKey& key) const;
   std::size_t size() const { return live_.size(); }
   std::uint64_t total_bytes() const { return total_bytes_; }
-  std::uint64_t next_seq() const { return next_seq_; }
+  std::uint64_t next_seq() const {  // sfcheck:allow(U1): test_store checks the replayed sequence
+    return next_seq_;
+  }
 
   // Appends a `put` line and registers the entry (seq assigned here;
   // last_touch starts at seq). A nonzero `cost_s` also appends a `cost`

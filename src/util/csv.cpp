@@ -21,34 +21,4 @@ std::string CsvWriter::escape(const std::string& field) {
   return quoted;
 }
 
-std::vector<std::string> parse_csv_line(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  fields.push_back(std::move(cur));
-  return fields;
-}
-
 }  // namespace sf

@@ -42,7 +42,4 @@ class CsvWriter {
   std::ostream* out_;
 };
 
-// Parse one CSV line into fields (handles quoted fields with commas).
-std::vector<std::string> parse_csv_line(const std::string& line);
-
 }  // namespace sf

@@ -52,7 +52,6 @@ class SampleSet {
   double median() const { return quantile(0.5); }
   // Fraction of samples with value >= threshold.
   double fraction_at_least(double threshold) const;
-  double fraction_less_than(double threshold) const { return 1.0 - fraction_at_least(threshold); }
   const std::vector<double>& samples() const { return xs_; }
 
  private:

@@ -1,6 +1,5 @@
 #include "util/string_util.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -20,33 +19,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
     start = pos + 1;
   }
   return parts;
-}
-
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
 }
 
 bool parse_canonical_real(std::string_view text, double& out) {

@@ -10,10 +10,6 @@
 namespace sf {
 
 std::vector<std::string> split(std::string_view s, char delim);
-std::string_view trim(std::string_view s);
-bool starts_with(std::string_view s, std::string_view prefix);
-std::string to_lower(std::string_view s);
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 // Parses all of `text` as a number in [lo, hi]: no sign or space the
 // type does not take, no trailing characters, no overflow, no NaN.

@@ -53,24 +53,6 @@ TEST(SmithWaterman, EmptyInput) {
   EXPECT_EQ(smith_waterman("AA", "").pairs.size(), 0u);
 }
 
-TEST(NeedlemanWunsch, GlobalAlignsEndToEnd) {
-  const std::string q = "MKTAYI";
-  const std::string s = "MKTAYI";
-  const AlignmentResult r = needleman_wunsch(q, s);
-  EXPECT_EQ(r.pairs.size(), 6u);
-  EXPECT_DOUBLE_EQ(r.identity, 1.0);
-}
-
-TEST(NeedlemanWunsch, PrefersGapsOverBadMatches) {
-  // Global alignment of a sequence against itself with an insertion.
-  const std::string q = "MKTAYIAKQR";
-  const std::string s = "MKTAYIWWWAKQR";
-  const AlignmentResult r = needleman_wunsch(q, s);
-  // All 10 query residues align to their counterparts.
-  EXPECT_GE(r.pairs.size(), 9u);
-  EXPECT_GT(r.identity, 0.85);
-}
-
 TEST(BandedSW, MatchesFullWhenBandCovers) {
   const std::string q = "MKTAYIAKQRQISFVKSHFSRQLEERLGLI";
   std::string s = q;
@@ -98,7 +80,6 @@ TEST(BandedSW, RespectsDiagonalOffset) {
 TEST(Evalue, MonotoneInScoreAndLibrarySize) {
   EXPECT_LT(evalue(100, 200, 1000000), evalue(50, 200, 1000000));
   EXPECT_LT(evalue(100, 200, 1000000), evalue(100, 200, 100000000));
-  EXPECT_GT(bit_score(100), bit_score(50));
 }
 
 // Property: SW score is symmetric in its arguments for BLOSUM scoring.

@@ -83,10 +83,5 @@ TEST(AminoAcid, BlosumRowMatchesMatrix) {
   }
 }
 
-TEST(AminoAcid, Hydropathy) {
-  EXPECT_GT(aa_hydropathy('I'), 4.0);
-  EXPECT_LT(aa_hydropathy('R'), -4.0);
-}
-
 }  // namespace
 }  // namespace sf

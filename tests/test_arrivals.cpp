@@ -8,9 +8,20 @@
 #include <thread>
 
 #include "sim/arrivals.hpp"
+#include "util/string_util.hpp"
 
 namespace sf {
 namespace {
+
+// One line per event with %.17g times: the byte stream the determinism
+// cases compare.
+std::string format_arrivals(const std::vector<ArrivalEvent>& events) {
+  std::string out;
+  for (const auto& ev : events) {
+    out += format("%d %.17g %zu %zu\n", ev.request_id, ev.time_s, ev.tenant, ev.record);
+  }
+  return out;
+}
 
 ArrivalProcessParams three_tenant_params() {
   ArrivalProcessParams p;

@@ -16,6 +16,7 @@
 #include "core/pipeline.hpp"
 #include "fold/memory_model.hpp"
 #include "store/artifact_store.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -94,7 +95,7 @@ TEST(CampaignRegression, FifoStoreUnderPressureLeavesGoldensUntouched) {
   cfg.quality_sample = 30;
   cfg.relax_sample = 10;
 
-  const std::string dir = ::testing::TempDir() + "regression_fifo_store";
+  const std::string dir = test_scratch_dir() + "regression_fifo_store";
   std::filesystem::remove_all(dir);
   store::StorePolicy policy;
   policy.eviction = store::EvictionPolicy::kFifo;

@@ -32,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_io.hpp"
 #include "sim/arrivals.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -134,8 +135,8 @@ TEST(CampaignServiceEquivalence, DegenerateStreamIsTheBatchPipelineByteForByte) 
   const auto records = ProteomeGenerator(universe, species_d_vulgaris(), 12).generate(40);
   const PipelineConfig cfg = small_config();
 
-  const std::string batch_path = ::testing::TempDir() + "svc_equiv_batch.sfj";
-  const std::string svc_path = ::testing::TempDir() + "svc_equiv_stream.sfj";
+  const std::string batch_path = test_scratch_dir() + "svc_equiv_batch.sfj";
+  const std::string svc_path = test_scratch_dir() + "svc_equiv_stream.sfj";
   write_file(batch_path, "");
   write_file(svc_path, "");
 
@@ -313,7 +314,7 @@ TEST(CampaignServiceChaos, StreamingResumeReproducesAtEveryJournalCut) {
   ASSERT_GT(baseline.waves, 1);
   ASSERT_GT(baseline.service_cache_hits, 0u);  // hot sets actually repeat
 
-  const std::string full_path = ::testing::TempDir() + "svc_chaos_full.sfj";
+  const std::string full_path = test_scratch_dir() + "svc_chaos_full.sfj";
   write_file(full_path, "");
   {
     CampaignJournal journal(full_path);
@@ -342,7 +343,7 @@ TEST(CampaignServiceChaos, StreamingResumeReproducesAtEveryJournalCut) {
 
   int resumed_runs = 0;
   for (const std::size_t cut : selected) {
-    const std::string path = ::testing::TempDir() + "svc_chaos_cut_" + std::to_string(cut) + ".sfj";
+    const std::string path = test_scratch_dir() + "svc_chaos_cut_" + std::to_string(cut) + ".sfj";
     write_file(path, full.substr(0, cut));
     CampaignJournal journal(path);
     const ServiceReport resumed = service.run(records, arrivals, &journal);

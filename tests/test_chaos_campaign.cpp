@@ -25,6 +25,7 @@
 #include "core/pipeline.hpp"
 #include "store/artifact_store.hpp"
 #include "chaos_schedule.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -370,7 +371,7 @@ TEST(ChaosCampaign, JournalResumeReproducesUninterruptedRun) {
 
   // Uninterrupted baseline, then a journaled run that must match it.
   const CampaignReport baseline = pipeline.run(records);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_scratch_dir();
   const std::string full_path = dir + "chaos_journal_full.sfj";
   write_file(full_path, "");
   {
@@ -435,9 +436,9 @@ TEST(ChaosCampaign, JournalResumeWithWarmStoreReproducesAtEveryCut) {
   const Pipeline pipeline(universe, cfg);
   const CampaignReport baseline = pipeline.run(records);
 
-  const std::string dir = ::testing::TempDir() + "chaos_warm_store";
+  const std::string dir = test_scratch_dir() + "chaos_warm_store";
   std::filesystem::remove_all(dir);
-  const std::string full_path = ::testing::TempDir() + "chaos_store_journal.sfj";
+  const std::string full_path = test_scratch_dir() + "chaos_store_journal.sfj";
   write_file(full_path, "");
   {
     store::ArtifactStore artifacts(dir);
@@ -464,7 +465,7 @@ TEST(ChaosCampaign, JournalResumeWithWarmStoreReproducesAtEveryCut) {
   int resumed_runs = 0;
   for (const std::size_t cut : selected) {
     const std::string path =
-        ::testing::TempDir() + "chaos_store_cut_" + std::to_string(cut) + ".sfj";
+        test_scratch_dir() + "chaos_store_cut_" + std::to_string(cut) + ".sfj";
     write_file(path, full.substr(0, cut));
     store::ArtifactStore warm(dir);
     EXPECT_TRUE(warm.open());
@@ -488,7 +489,7 @@ TEST(ChaosCampaign, JournalRejectsForeignFingerprint) {
   const Pipeline pipeline(universe, cfg);
   const CampaignReport baseline = pipeline.run(records);
 
-  const std::string path = ::testing::TempDir() + "chaos_journal_foreign.sfj";
+  const std::string path = test_scratch_dir() + "chaos_journal_foreign.sfj";
   {
     write_file(path, "");
     CampaignJournal journal(path);
@@ -512,7 +513,7 @@ TEST(ChaosCampaign, JournalRejectsForeignFingerprint) {
 }
 
 TEST(ChaosCampaign, JournalKeepsFirstRowOnDuplicateAndDropsGarbageTail) {
-  const std::string path = ::testing::TempDir() + "chaos_journal_unit.sfj";
+  const std::string path = test_scratch_dir() + "chaos_journal_unit.sfj";
   write_file(path, "");
   StageReport report;
   report.name = "features";

@@ -46,6 +46,7 @@
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -302,7 +303,7 @@ TEST(ClusterCampaign, ByteIdenticalAcrossBackendsWidthsAndNodeCounts) {
   // bytes (an empty factory keeps the default simulated executors).
   const auto run = [&](const std::string& tag, const StageExecutorFactory& factory,
                        std::string& journal_bytes) {
-    const std::string path = ::testing::TempDir() + "cluster_backend_" + tag + ".sfj";
+    const std::string path = test_scratch_dir() + "cluster_backend_" + tag + ".sfj";
     write_file(path, "");
     ServiceReport rep;
     {
@@ -355,7 +356,7 @@ TEST(ClusterCampaign, StoreOffColdAndWarmAreByteIdenticalAndWarmComputesZero) {
   EXPECT_GT(plain.cluster.aligns_computed, 0u);
   EXPECT_EQ(plain.cluster.aligns_from_store, 0u);
 
-  const std::string dir = ::testing::TempDir() + "cluster_store";
+  const std::string dir = test_scratch_dir() + "cluster_store";
   std::filesystem::remove_all(dir);
   store::ArtifactStore cold(dir);
   EXPECT_FALSE(cold.open());
@@ -431,7 +432,7 @@ TEST(ClusterCampaign, JournalResumeReproducesClusterReportAtEveryCut) {
   const Pipeline pipeline(universe, cfg);
   const CampaignReport baseline = pipeline.run(records);
 
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_scratch_dir();
   const std::string full_path = dir + "cluster_journal_full.sfj";
   write_file(full_path, "");
   {
@@ -524,7 +525,7 @@ TEST(ClusterCampaign, ByteIdenticalAcrossJobCounts) {
   // and trace.
   const PipelineConfig cfg = cluster_campaign_config();
   const auto run = [&](const std::string& store_dir) {
-    const std::string path = ::testing::TempDir() + "cluster_jobs.sfj";
+    const std::string path = test_scratch_dir() + "cluster_jobs.sfj";
     write_file(path, "");
     CampaignBytes b;
     obs::TraceRecorder recorder;
@@ -546,7 +547,7 @@ TEST(ClusterCampaign, ByteIdenticalAcrossJobCounts) {
   std::vector<CampaignBytes> warm;
   for (const std::size_t threads : thread_counts({1, 2, 3})) {
     const PinnedCpus pinned(threads);
-    const std::string store_dir = ::testing::TempDir() + "cluster_jobs_store";
+    const std::string store_dir = test_scratch_dir() + "cluster_jobs_store";
     std::filesystem::remove_all(store_dir);
     cold.push_back(run(store_dir));
     warm.push_back(run(store_dir));
@@ -568,7 +569,7 @@ TEST(ClusterCampaign, UnreadableStoredAlignmentIsRecomputedOnThreads) {
   const Pipeline pipeline(universe, cfg);
   const CampaignReport plain = pipeline.run(records);
 
-  const std::string dir = ::testing::TempDir() + "cluster_torn_store";
+  const std::string dir = test_scratch_dir() + "cluster_torn_store";
   std::filesystem::remove_all(dir);
   store::ArtifactStore cold(dir);
   cold.open();

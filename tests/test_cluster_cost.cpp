@@ -20,10 +20,6 @@ TEST(Cluster, PaperSpecs) {
   EXPECT_EQ(a.nodes, 704);
   EXPECT_EQ(a.cores_per_node, 32);  // 2x 16-core EPYC 7302
   EXPECT_EQ(a.gpus_per_node, 0);
-
-  const MachineSpec p = phoenix();
-  EXPECT_EQ(p.gpus_per_node, 4);   // 4x RTX6000
-  EXPECT_DOUBLE_EQ(p.gpu_mem_gb, 24.0);
 }
 
 TEST(Cluster, NodeHours) {

@@ -22,39 +22,5 @@ TEST(Csv, EscapesSpecialCharacters) {
   EXPECT_EQ(out.str(), "\"has,comma\",\"has\"\"quote\",plain\n");
 }
 
-TEST(Csv, ParseSimpleLine) {
-  const auto fields = parse_csv_line("a,b,c");
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[2], "c");
-}
-
-TEST(Csv, ParseQuotedFields) {
-  const auto fields = parse_csv_line("\"has,comma\",\"has\"\"quote\",tail");
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "has,comma");
-  EXPECT_EQ(fields[1], "has\"quote");
-  EXPECT_EQ(fields[2], "tail");
-}
-
-TEST(Csv, ParseEmptyFields) {
-  const auto fields = parse_csv_line(",,");
-  ASSERT_EQ(fields.size(), 3u);
-  for (const auto& f : fields) EXPECT_TRUE(f.empty());
-}
-
-TEST(Csv, RoundTrip) {
-  std::ostringstream out;
-  CsvWriter csv(out);
-  csv.row("x,y", 42, "q\"q");
-  std::string line = out.str();
-  line.pop_back();  // strip newline
-  const auto fields = parse_csv_line(line);
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "x,y");
-  EXPECT_EQ(fields[1], "42");
-  EXPECT_EQ(fields[2], "q\"q");
-}
-
 }  // namespace
 }  // namespace sf

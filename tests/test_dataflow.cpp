@@ -209,22 +209,6 @@ TEST(SimulatedDataflow, MoreWorkersThanTasks) {
   EXPECT_EQ(res.finish_spread_s(), res.finish_spread_s());  // finite
 }
 
-TEST(TaskStats, CsvRoundTrip) {
-  std::vector<TaskRecord> records{
-      {1, "a/model1", 0, 0.0, 5.0},
-      {2, "b,with,commas", 1, 1.0, 2.0},
-  };
-  std::ostringstream out;
-  write_task_stats_csv(out, records);
-  std::istringstream in(out.str());
-  const auto parsed = read_task_stats_csv(in);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].name, "a/model1");
-  EXPECT_EQ(parsed[1].name, "b,with,commas");
-  EXPECT_DOUBLE_EQ(parsed[0].end_s, 5.0);
-  EXPECT_EQ(parsed[1].worker, 1);
-}
-
 TEST(TaskStats, CsvGoldenLayout) {
   // Golden-file lock on the recorder's exact byte layout: header order,
   // row order (as recorded, not sorted), comma escaping, and default

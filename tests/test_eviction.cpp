@@ -28,6 +28,7 @@
 #include "store/key.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -40,7 +41,7 @@ std::string read_file(const std::string& path) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = test_scratch_dir() + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bio/sequence.hpp"
 #include "native/render.hpp"
 #include "score/tm_score.hpp"
 
 namespace sf {
 namespace {
+
+// Fraction of identical positions over the shorter length (ungapped).
+double positional_identity(const std::string& a, const std::string& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  std::size_t same = 0;
+  for (std::size_t i = 0; i < n; ++i) same += a[i] == b[i] ? 1 : 0;
+  return n == 0 ? 0.0 : static_cast<double>(same) / static_cast<double>(n);
+}
 
 TEST(FoldGrammar, SampleFoldCoversTargetLength) {
   Rng rng(1);
@@ -58,7 +68,7 @@ TEST(FoldGrammar, HomologIdentityControl) {
   for (double target : {0.9, 0.5, 0.2}) {
     Rng hrng(42);
     const std::string hom = homolog_sequence(fold, parent, 150, 150, target, hrng);
-    const double id = naive_sequence_identity(parent, hom);
+    const double id = positional_identity(parent, hom);
     EXPECT_NEAR(id, target, 0.12);
   }
 }

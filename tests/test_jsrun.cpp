@@ -78,12 +78,5 @@ TEST(Jsrun, ScriptRendering) {
   EXPECT_EQ(count, 3u);
 }
 
-TEST(Jsrun, RelaxationVariant) {
-  const LaunchPlan plan = paper_relaxation_launch(8);
-  EXPECT_EQ(plan.job_name, "af2_relaxation");
-  EXPECT_EQ(plan.sets[1].num_sets, 48);  // §4.5: 8 nodes x 6 workers
-  EXPECT_TRUE(plan.fits(summit()));
-}
-
 }  // namespace
 }  // namespace sf

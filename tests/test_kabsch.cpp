@@ -9,6 +9,12 @@
 namespace sf {
 namespace {
 
+// Determinant of a row-major 3x3 matrix: row0 . (row1 x row2).
+double det(const Mat3& r) {
+  const auto row = [&](int i) { return Vec3{r.m[i][0], r.m[i][1], r.m[i][2]}; };
+  return row(0).dot(row(1).cross(row(2)));
+}
+
 std::vector<Vec3> random_cloud(std::size_t n, Rng& rng) {
   std::vector<Vec3> pts;
   pts.reserve(n);
@@ -46,7 +52,7 @@ TEST_P(KabschRecovery, RecoversRigidTransform) {
   for (std::size_t i = 0; i < mobile.size(); ++i) {
     EXPECT_NEAR(distance(sp.apply(mobile[i]), target[i]), 0.0, 1e-6);
   }
-  EXPECT_NEAR(sp.rotation.det(), 1.0, 1e-9);  // proper rotation, no reflection
+  EXPECT_NEAR(det(sp.rotation), 1.0, 1e-9);  // proper rotation, no reflection
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, KabschRecovery, ::testing::Values(1, 3, 5, 17, 64, 200));
@@ -60,8 +66,10 @@ TEST(Kabsch, RmsdMatchesDirectForNoisyClouds) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += distance2(sp.apply(a[i]), b[i]);
   EXPECT_NEAR(sp.rmsd, std::sqrt(s / a.size()), 1e-9);
-  // Optimal superposition can only improve on raw RMSD.
-  EXPECT_LE(sp.rmsd, raw_rmsd(a, b) + 1e-12);
+  // Optimal superposition can only improve on the RMSD as placed.
+  double raw = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) raw += distance2(a[i], b[i]);
+  EXPECT_LE(sp.rmsd, std::sqrt(raw / a.size()) + 1e-12);
 }
 
 TEST(Kabsch, WeightedIgnoresZeroWeightOutliers) {
@@ -73,48 +81,17 @@ TEST(Kabsch, WeightedIgnoresZeroWeightOutliers) {
   mobile.push_back({100, 100, 100});
   target.push_back({-100, -100, -100});
   w.push_back(0.0);
-  const Superposition sp = kabsch_weighted(mobile, target, w);
-  EXPECT_NEAR(sp.rmsd, 0.0, 1e-9);
+  const auto m = [&](std::size_t i) -> const Vec3& { return mobile[i]; };
+  const auto t = [&](std::size_t i) -> const Vec3& { return target[i]; };
+  const auto wt = [&](std::size_t i) { return w[i]; };
+  const Superposition sp = superpose(mobile.size(), m, t, wt, 20.0);
+  EXPECT_NEAR(superposition_rmsd(sp, mobile.size(), m, t, wt, 20.0), 0.0, 1e-9);
 }
 
 TEST(Kabsch, ThrowsOnBadInput) {
   std::vector<Vec3> a{{0, 0, 0}}, b;
   EXPECT_THROW(kabsch(a, b), std::invalid_argument);
   EXPECT_THROW(kabsch(b, b), std::invalid_argument);
-  EXPECT_THROW(raw_rmsd(a, b), std::invalid_argument);
-  EXPECT_THROW(kabsch_weighted(a, a, {0.0}), std::invalid_argument);
-}
-
-TEST(SymmetricEigen3, DiagonalizesKnownMatrix) {
-  Mat3 m;
-  m.m[0][0] = 2.0;
-  m.m[1][1] = 5.0;
-  m.m[2][2] = 3.0;
-  double vals[3];
-  Mat3 vecs;
-  symmetric_eigen3(m, vals, vecs);
-  EXPECT_NEAR(vals[0], 5.0, 1e-10);
-  EXPECT_NEAR(vals[1], 3.0, 1e-10);
-  EXPECT_NEAR(vals[2], 2.0, 1e-10);
-}
-
-TEST(SymmetricEigen3, ReconstructsMatrix) {
-  Mat3 m;
-  m.m[0][0] = 4.0; m.m[0][1] = 1.0; m.m[0][2] = 0.5;
-  m.m[1][0] = 1.0; m.m[1][1] = 3.0; m.m[1][2] = -0.7;
-  m.m[2][0] = 0.5; m.m[2][1] = -0.7; m.m[2][2] = 2.0;
-  double vals[3];
-  Mat3 v;
-  symmetric_eigen3(m, vals, v);
-  // M == V diag(vals) V^T
-  Mat3 d;
-  d.m[0][0] = vals[0];
-  d.m[1][1] = vals[1];
-  d.m[2][2] = vals[2];
-  const Mat3 rec = v * d * v.transpose();
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) EXPECT_NEAR(rec.m[i][j], m.m[i][j], 1e-9);
-  }
 }
 
 }  // namespace

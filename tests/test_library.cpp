@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace sf {
 namespace {
+
+// Fraction of identical positions over the shorter length (ungapped).
+double positional_identity(const std::string& a, const std::string& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  std::size_t same = 0;
+  for (std::size_t i = 0; i < n; ++i) same += a[i] == b[i] ? 1 : 0;
+  return n == 0 ? 0.0 : static_cast<double>(same) / static_cast<double>(n);
+}
 
 FoldUniverse small_universe() { return FoldUniverse(20, 99); }
 
@@ -70,7 +81,7 @@ TEST(Library, ReductionRemovesNearDuplicatesOnly) {
       const auto& b = reduced.entry(j);
       if (a.fold_index != b.fold_index) continue;
       if (a.sequence.length() != b.sequence.length()) continue;
-      EXPECT_LT(naive_sequence_identity(a.sequence.residues(), b.sequence.residues()), 0.95);
+      EXPECT_LT(positional_identity(a.sequence.residues(), b.sequence.residues()), 0.95);
     }
   }
 }

@@ -35,6 +35,7 @@
 #include "store/artifact_store.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -309,11 +310,6 @@ TEST(ObsMetrics, ExactOnHandBuiltTrace) {
   EXPECT_EQ(m.faults[1].fault, obs::SpanFault::kStraggler);
   EXPECT_EQ(m.faults[1].attempts, 1);
   EXPECT_EQ(m.faults[1].lost_s, 40.0);
-
-  const std::vector<double> busy = obs::worker_busy_timeline(st);
-  ASSERT_EQ(busy.size(), 2u);
-  EXPECT_EQ(busy[0], 20.0);
-  EXPECT_EQ(busy[1], 60.0);
 
   const std::string timeline = obs::render_trace_timeline(st, 10, 60);
   EXPECT_NE(timeline.find("w00000"), std::string::npos);
@@ -618,7 +614,7 @@ TEST(ObsPipeline, KillResumeReproducesTheUninterruptedTrace) {
   const std::string baseline_json = obs::render_chrome_trace(baseline_rec.doc());
 
   // A journaled traced run matches the unjournaled one.
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_scratch_dir();
   const std::string full_path = dir + "obs_journal_full.sfj";
   write_file(full_path, "");
   {
@@ -675,7 +671,7 @@ TEST(ObsPipeline, KillResumeReproducesTheUninterruptedTrace) {
   // A fresh store attached to the traced resume sees no inference
   // traffic at all.
   {
-    const std::string dir = ::testing::TempDir() + "obs_sealed_store";
+    const std::string dir = test_scratch_dir() + "obs_sealed_store";
     std::filesystem::remove_all(dir);
     store::ArtifactStore fresh(dir);
     EXPECT_FALSE(fresh.open());
@@ -699,7 +695,7 @@ TEST(ObsPipeline, KillResumeReproducesTheUninterruptedTrace) {
 // ------------------------------------------------------------------ //
 
 TEST(ObsJournal, CompactionDropsSupersededTrecsAndIsIdempotent) {
-  const std::string path = ::testing::TempDir() + "obs_journal_compact.sfj";
+  const std::string path = test_scratch_dir() + "obs_journal_compact.sfj";
   write_file(path, "");
   StageReport report;
   report.name = "inference";
@@ -769,7 +765,7 @@ TEST(ObsJournal, CompactionDropsSupersededTrecsAndIsIdempotent) {
 }
 
 TEST(ObsJournal, CompactionDropsTrecsFromUnsealedInference) {
-  const std::string path = ::testing::TempDir() + "obs_journal_unsealed.sfj";
+  const std::string path = test_scratch_dir() + "obs_journal_unsealed.sfj";
   write_file(path, "");
   {
     CampaignJournal journal(path);

@@ -39,6 +39,7 @@
 #include "store/artifact_store.hpp"
 #include "store/key.hpp"
 #include "util/string_util.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -56,7 +57,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = test_scratch_dir() + name;
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -306,7 +307,7 @@ TEST(PairCampaign, SealedJournalWithWarmStoreRunsZeroFeatureAttempts) {
   const PairCampaignReport baseline = campaign.run(records);
 
   const std::string dir = fresh_dir("pair_warm_resume");
-  const std::string journal_path = ::testing::TempDir() + "pair_warm_resume.sfpj";
+  const std::string journal_path = test_scratch_dir() + "pair_warm_resume.sfpj";
   write_file(journal_path, "");
   {
     store::ArtifactStore cold(dir);
@@ -458,7 +459,7 @@ TEST(PairCampaign, JournalResumeReproducesUninterruptedRunAtEveryCut) {
   const PairCampaign campaign(universe, cfg);
 
   const PairCampaignReport baseline = campaign.run(records);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = test_scratch_dir();
   const std::string full_path = dir + "pair_journal_full.sfpj";
   write_file(full_path, "");
   {
@@ -516,7 +517,7 @@ TEST(PairCampaign, JournalRejectsForeignFingerprint) {
   const PairCampaign campaign(universe, cfg);
   const PairCampaignReport baseline = campaign.run(records);
 
-  const std::string path = ::testing::TempDir() + "pair_journal_foreign.sfpj";
+  const std::string path = test_scratch_dir() + "pair_journal_foreign.sfpj";
   write_file(path, "");
   {
     CampaignJournal journal(path);

@@ -2,80 +2,68 @@
 
 #include <gtest/gtest.h>
 
-#include "geom/backbone.hpp"
-#include "util/rng.hpp"
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
 
-Structure sample_structure() {
-  Rng rng(3);
-  std::vector<ResidueSpec> spec;
-  const std::string seq = "MKTAYIAKQRG";
-  for (char aa : spec.empty() ? std::vector<char>(seq.begin(), seq.end()) : std::vector<char>{}) {
-    ResidueSpec rs;
-    rs.aa = aa;
-    rs.has_cb = aa != 'G';
-    rs.has_sc = aa != 'G' && aa != 'A';
-    spec.push_back(rs);
-  }
-  return build_structure("sample", spec, std::string(seq.size(), 'H'), rng);
+// An ALA with a CB, then an unknown residue with a CB and a sidechain
+// centroid.
+Structure two_residues() {
+  Structure s("pair");
+  Residue a;
+  a.aa = 'A';
+  a.n = {1.0, -2.5, 10.125};
+  a.has_cb = true;
+  s.add_residue(a);
+  Residue x;
+  x.aa = 'X';
+  x.has_cb = true;
+  x.has_sc = true;
+  s.add_residue(x);
+  return s;
 }
 
-TEST(PdbIo, WriteContainsAtomRecords) {
-  const std::string text = to_pdb_string(sample_structure());
-  EXPECT_NE(text.find("ATOM"), std::string::npos);
-  EXPECT_NE(text.find("CA"), std::string::npos);
-  EXPECT_NE(text.find("TER"), std::string::npos);
-  EXPECT_NE(text.find("END"), std::string::npos);
+std::string pdb_text(const Structure& s) {
+  std::ostringstream out;
+  write_pdb(out, s);
+  return out.str();
 }
 
-TEST(PdbIo, RoundTripPreservesGeometryAndSequence) {
-  const Structure s = sample_structure();
-  const Structure r = read_pdb_string(to_pdb_string(s), "copy");
-  ASSERT_EQ(r.size(), s.size());
-  EXPECT_EQ(r.sequence_string(), s.sequence_string());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_NEAR(distance(r.residue(i).ca, s.residue(i).ca), 0.0, 1e-3);
-    EXPECT_NEAR(distance(r.residue(i).n, s.residue(i).n), 0.0, 1e-3);
-    EXPECT_EQ(r.residue(i).has_cb, s.residue(i).has_cb);
-    EXPECT_EQ(r.residue(i).has_sc, s.residue(i).has_sc);
-  }
+TEST(PdbIo, WritesOneFixedColumnRecordPerModeledAtom) {
+  EXPECT_EQ(pdb_text(two_residues()),
+            "REMARK summitfold reduced heavy-atom model: pair\n"
+            "ATOM      1 N    ALA A   1       1.000  -2.500  10.125  1.00  0.00           N\n"
+            "ATOM      2 CA   ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n"
+            "ATOM      3 C    ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n"
+            "ATOM      4 O    ALA A   1       0.000   0.000   0.000  1.00  0.00           O\n"
+            "ATOM      5 CB   ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n"
+            "ATOM      6 N    UNK A   2       0.000   0.000   0.000  1.00  0.00           N\n"
+            "ATOM      7 CA   UNK A   2       0.000   0.000   0.000  1.00  0.00           C\n"
+            "ATOM      8 C    UNK A   2       0.000   0.000   0.000  1.00  0.00           C\n"
+            "ATOM      9 O    UNK A   2       0.000   0.000   0.000  1.00  0.00           O\n"
+            "ATOM     10 CB   UNK A   2       0.000   0.000   0.000  1.00  0.00           C\n"
+            "ATOM     11 SC   UNK A   2       0.000   0.000   0.000  1.00  0.00           C\n"
+            "TER\nEND\n");
 }
 
-TEST(PdbIo, FileRoundTrip) {
-  const Structure s = sample_structure();
-  const std::string path = ::testing::TempDir() + "/sf_test.pdb";
+TEST(PdbIo, FileHoldsTheStreamBytes) {
+  const Structure s = two_residues();
+  const std::string path = test_scratch_dir() + "sf_test.pdb";
   write_pdb_file(path, s);
-  const Structure r = read_pdb_file(path);
-  EXPECT_EQ(r.size(), s.size());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), pdb_text(s));
 }
 
-TEST(PdbIo, IgnoresNonAtomLines) {
-  const std::string text =
-      "HEADER junk\nREMARK x\n"
-      "ATOM      1  CA  ALA A   1      1.000   2.000   3.000  1.00  0.00           C\n";
-  const Structure s = read_pdb_string(text);
-  ASSERT_EQ(s.size(), 1u);
-  EXPECT_EQ(s.residue(0).aa, 'A');
-  EXPECT_NEAR(s.residue(0).ca.x, 1.0, 1e-9);
-}
-
-TEST(PdbIo, ThrowsOnTruncatedAtom) {
-  EXPECT_THROW(read_pdb_string("ATOM  1 CA"), std::runtime_error);
-}
-
-TEST(PdbIo, ThrowsOnMissingFile) {
-  EXPECT_THROW(read_pdb_file("/nonexistent/x.pdb"), std::runtime_error);
+TEST(PdbIo, ThrowsOnUnwritablePath) {
   EXPECT_THROW(write_pdb_file("/nonexistent/dir/x.pdb", Structure{}), std::runtime_error);
-}
-
-TEST(PdbIo, UnknownResidueMapsToX) {
-  const std::string text =
-      "ATOM      1  CA  XYZ A   1      0.000   0.000   0.000  1.00  0.00           C\n";
-  const Structure s = read_pdb_string(text);
-  ASSERT_EQ(s.size(), 1u);
-  EXPECT_EQ(s.residue(0).aa, 'X');
 }
 
 }  // namespace

@@ -26,13 +26,6 @@ TEST(Presets, PaperConfigurations) {
   EXPECT_EQ(s.max_recycles, 20);
 }
 
-TEST(Presets, LookupByName) {
-  EXPECT_EQ(preset_by_name("genome").name, "genome");
-  EXPECT_EQ(preset_by_name("casp14").ensembles, 8);
-  EXPECT_THROW(preset_by_name("bogus"), std::invalid_argument);
-  EXPECT_EQ(all_presets().size(), 4u);
-}
-
 TEST(Presets, RecycleCapDecay) {
   const PresetConfig g = preset_genome();
   // Short sequences keep the full cap.

@@ -7,6 +7,7 @@
 
 #include "core/report.hpp"
 #include "dataflow/stats.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -42,30 +43,24 @@ TEST(Report, FailedTasksOnlyWhenPresent) {
   EXPECT_NE(failed.str().find("failed 8"), std::string::npos);
 }
 
-TEST(TaskStatsFile, WriteReadRoundTripOnDisk) {
-  const std::string path = ::testing::TempDir() + "/sf_task_stats.csv";
+TEST(TaskStatsFile, FileHoldsTheStreamBytes) {
+  // write_task_stats_csv's byte layout is pinned by test_dataflow's
+  // CsvGoldenLayout; the file writer must store exactly those bytes.
+  const std::string path = test_scratch_dir() + "sf_task_stats.csv";
   std::vector<TaskRecord> records;
   for (int i = 0; i < 50; ++i) {
     records.push_back({static_cast<std::uint64_t>(i), "target" + std::to_string(i) + "/m1",
                        i % 6, i * 1.5, i * 1.5 + 42.0});
   }
   write_task_stats_csv_file(path, records);
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
-  const auto parsed = read_task_stats_csv(in);
-  ASSERT_EQ(parsed.size(), records.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].task_id, records[i].task_id);
-    EXPECT_EQ(parsed[i].name, records[i].name);
-    EXPECT_EQ(parsed[i].worker, records[i].worker);
-    EXPECT_DOUBLE_EQ(parsed[i].start_s, records[i].start_s);
-    EXPECT_DOUBLE_EQ(parsed[i].duration_s(), 42.0);
-  }
-}
-
-TEST(TaskStatsFile, BadRowThrows) {
-  std::istringstream in("task_id,name,worker,start_s,end_s\n1,only,three\n");
-  EXPECT_THROW(read_task_stats_csv(in), std::runtime_error);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::ostringstream want;
+  write_task_stats_csv(want, records);
+  EXPECT_EQ(bytes.str(), want.str());
+  EXPECT_EQ(want.str().rfind("task_id,name,worker,start_s,end_s\n0,target0/m1,0,0,42\n", 0), 0u);
 }
 
 TEST(TaskStatsFile, UnwritablePathThrows) {

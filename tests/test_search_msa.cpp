@@ -109,21 +109,13 @@ TEST(Msa, MeanIdentityWeightsByCoverage) {
   EXPECT_GT(msa.mean_identity(), 0.9);
 }
 
-TEST(Features, FromMsa) {
-  Msa msa("target1");
-  for (int i = 0; i < 3; ++i) {
-    MsaHit h;
-    h.identity = 0.4;
-    h.query_coverage = 0.9;
-    msa.add_hit(h);
-  }
-  const InputFeatures f = features_from_msa(msa, 150, true);
-  EXPECT_EQ(f.target_id, "target1");
-  EXPECT_EQ(f.msa_depth, 3);
-  EXPECT_GT(f.neff, 0.0);
-  EXPECT_TRUE(f.has_templates);
-  // Template feature stacks dominate bytes at this depth.
-  const InputFeatures f_no = features_from_msa(msa, 150, false);
+TEST(Features, TemplateStacksDominateBytes) {
+  InputFeatures f;
+  f.length = 150;
+  f.msa_depth = 3;
+  f.has_templates = true;
+  InputFeatures f_no = f;
+  f_no.has_templates = false;
   EXPECT_GT(f.feature_bytes(), f_no.feature_bytes());
 }
 

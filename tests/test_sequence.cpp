@@ -8,68 +8,12 @@ namespace {
 TEST(Sequence, BasicAccessors) {
   const Sequence s("id1", "MKT", "a description");
   EXPECT_EQ(s.id(), "id1");
+  EXPECT_EQ(s.description(), "a description");
+  EXPECT_EQ(s.residues(), "MKT");
   EXPECT_EQ(s.length(), 3u);
   EXPECT_EQ(s[1], 'K');
-  EXPECT_TRUE(s.is_valid());
-  EXPECT_FALSE(Sequence("x", "MKZ").is_valid());
-}
-
-TEST(Sequence, NaiveIdentity) {
-  EXPECT_DOUBLE_EQ(naive_sequence_identity("AAAA", "AAAA"), 1.0);
-  EXPECT_DOUBLE_EQ(naive_sequence_identity("AAAA", "AATT"), 0.5);
-  EXPECT_DOUBLE_EQ(naive_sequence_identity("", "AA"), 0.0);
-  // Compares over min length.
-  EXPECT_DOUBLE_EQ(naive_sequence_identity("AA", "AATT"), 1.0);
-}
-
-TEST(Fasta, ParsesMultiRecordWrapped) {
-  const std::string text =
-      ">seq1 first protein\nMKT\nAYI\n\n>seq2\nGGG\n";
-  const auto seqs = read_fasta_string(text);
-  ASSERT_EQ(seqs.size(), 2u);
-  EXPECT_EQ(seqs[0].id(), "seq1");
-  EXPECT_EQ(seqs[0].description(), "first protein");
-  EXPECT_EQ(seqs[0].residues(), "MKTAYI");
-  EXPECT_EQ(seqs[1].id(), "seq2");
-  EXPECT_EQ(seqs[1].residues(), "GGG");
-}
-
-TEST(Fasta, RoundTrip) {
-  std::vector<Sequence> seqs{
-      Sequence("a", std::string(150, 'M'), "long one"),
-      Sequence("b", "GW", ""),
-  };
-  const auto parsed = read_fasta_string(to_fasta_string(seqs, 60));
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].residues(), seqs[0].residues());
-  EXPECT_EQ(parsed[0].description(), "long one");
-  EXPECT_EQ(parsed[1].residues(), "GW");
-}
-
-TEST(Fasta, WrapWidth) {
-  const std::vector<Sequence> seqs{Sequence("a", std::string(100, 'A'))};
-  const std::string text = to_fasta_string(seqs, 10);
-  // 100 residues at width 10 -> 10 sequence lines + header.
-  std::size_t lines = 0;
-  for (char c : text) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 11u);
-}
-
-TEST(Fasta, EmptyInput) { EXPECT_TRUE(read_fasta_string("").empty()); }
-
-TEST(Fasta, MissingFileThrows) {
-  EXPECT_THROW(read_fasta_file("/nonexistent/f.fasta"), std::runtime_error);
-}
-
-TEST(Fasta, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/sf_test.fasta";
-  write_fasta_file(path, {Sequence("z", "MKWT", "desc here")});
-  const auto seqs = read_fasta_file(path);
-  ASSERT_EQ(seqs.size(), 1u);
-  EXPECT_EQ(seqs[0].residues(), "MKWT");
-  EXPECT_EQ(seqs[0].description(), "desc here");
+  EXPECT_FALSE(s.empty());
+  EXPECT_TRUE(Sequence().empty());
 }
 
 }  // namespace

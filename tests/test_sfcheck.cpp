@@ -598,6 +598,67 @@ TEST(Sfcheck, BaselineParserIgnoresCommentsAndBlanks) {
 }
 
 // ---------------------------------------------------------------------
+// U1: reachability from the product roots.
+// ---------------------------------------------------------------------
+
+TEST(Sfcheck, U1ReportsAnUnreachedDefinitionAtItsLine) {
+  const auto r =
+      scan({"examples/u1_main.cpp", "src/util/u1_lib.hpp", "src/util/u1_lib.cpp"});
+  // never_called (line 15) and reasonless (line 17, whose empty allow is
+  // a SUP finding and suppresses nothing).
+  ASSERT_EQ(r.diagnostics.size(), 3u);
+  expect_diag(r, 0, "src/util/u1_lib.cpp", 15, "U1");
+  EXPECT_NE(r.diagnostics[0].message.find("'never_called'"), std::string::npos);
+  expect_diag(r, 1, "src/util/u1_lib.cpp", 17, "SUP");
+  expect_diag(r, 2, "src/util/u1_lib.cpp", 17, "U1");
+}
+
+TEST(Sfcheck, U1CountsValuesTypesOverridesInitializersDefaultsAndDestructors) {
+  // use_value (a function pointer), Widget (a type), Derived::run (an
+  // override), make_table (a namespace-scope initializer), pool_default
+  // (a default argument) and shutdown (called by a destructor) are all
+  // reached: none appears among the findings.
+  const auto r =
+      scan({"examples/u1_main.cpp", "src/util/u1_lib.hpp", "src/util/u1_lib.cpp"});
+  for (const auto& d : r.diagnostics) {
+    for (const char* live : {"use_value", "Widget", "run", "make_table", "pool_default",
+                             "shutdown", "lookup", "apply"}) {
+      EXPECT_EQ(d.message.find("'" + std::string(live) + "'"), std::string::npos) << d.message;
+    }
+  }
+}
+
+TEST(Sfcheck, U1ReasonedAllowSuppresses) {
+  const auto r =
+      scan({"examples/u1_main.cpp", "src/util/u1_lib.hpp", "src/util/u1_lib.cpp"});
+  ASSERT_EQ(r.suppressed.size(), 1u);
+  EXPECT_EQ(r.suppressed[0].rule, "U1");
+  EXPECT_EQ(r.suppressed[0].line, 16);
+  EXPECT_EQ(r.suppressed[0].reason, "test_u1_fixture reads it");
+}
+
+TEST(Sfcheck, U1NeedsAMain) {
+  const auto r = scan({"src/util/u1_lib.hpp", "src/util/u1_lib.cpp"});
+  for (const auto& d : r.diagnostics) EXPECT_NE(d.rule, "U1") << d.message;
+  EXPECT_TRUE(r.suppressed.empty());
+}
+
+TEST(Sfcheck, U1ReadsBenchAsARootOnly) {
+  // A bench file roots what it names but is not linted itself.
+  SourceFile bench{"bench/bench_x.cpp",
+                   "#include <random>\nint main() { std::random_device rd; return never_called(); }\n"};
+  auto lib = load_fixture("src/util/u1_lib.cpp");
+  const auto r = sf::lint::run({bench, lib}, Config::project_default());
+  for (const auto& d : r.diagnostics) {
+    EXPECT_NE(d.file, "bench/bench_x.cpp") << d.message;
+    EXPECT_EQ(d.message.find("'never_called'"), std::string::npos) << d.message;
+  }
+  EXPECT_TRUE(sf::lint::is_indexed_path("bench/bench_x.cpp"));
+  EXPECT_TRUE(sf::lint::is_indexed_path("wallbench/kernel_pass.cpp"));
+  EXPECT_FALSE(sf::lint::is_indexed_path("tests/test_rng.cpp"));
+}
+
+// ---------------------------------------------------------------------
 // SARIF rendering.
 // ---------------------------------------------------------------------
 

@@ -68,7 +68,6 @@ TEST(SampleSet, FractionAtLeast) {
   EXPECT_DOUBLE_EQ(s.fraction_at_least(5.0), 0.5);
   EXPECT_DOUBLE_EQ(s.fraction_at_least(0.0), 1.0);
   EXPECT_DOUBLE_EQ(s.fraction_at_least(100.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.fraction_less_than(5.0), 0.5);
 }
 
 TEST(SampleSet, EmptyIsSafe) {

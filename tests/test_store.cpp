@@ -24,6 +24,7 @@
 #include "store/key.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -41,7 +42,7 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = test_scratch_dir() + name;
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -230,7 +231,9 @@ std::string with_token(const std::string& payload, std::size_t i, const std::str
   const std::size_t eol = payload.find('\n');
   std::vector<std::string> tokens = split(payload.substr(0, eol), ' ');
   tokens.at(i) = value;
-  return join(tokens, " ") + payload.substr(eol);
+  std::string line = tokens[0];
+  for (std::size_t t = 1; t < tokens.size(); ++t) line += " " + tokens[t];
+  return line + payload.substr(eol);
 }
 
 // Every decoder refuses a value its encoder never writes -- the
@@ -615,7 +618,7 @@ TEST(StoreCampaign, WarmResumeSkipsFeatureStageEntirely) {
   // Journaled + stored run, then kill it right after the feature stage
   // seals (mid-inference: measured rows exist but the stage does not).
   const std::string dir = fresh_dir("store_resume");
-  const std::string journal_path = ::testing::TempDir() + "store_resume.sfj";
+  const std::string journal_path = test_scratch_dir() + "store_resume.sfj";
   write_file(journal_path, "");
   {
     store::ArtifactStore artifacts(dir);
@@ -673,7 +676,7 @@ TEST(StoreCampaign, SealedStageWithColdStoreRecomputesMissesInline) {
   // Journal-complete campaign, but the store starts cold (e.g. the
   // cache directory was lost): every feature is a miss, recomputed
   // inline and re-stored, and the report still replays bit-for-bit.
-  const std::string journal_path = ::testing::TempDir() + "store_coldresume.sfj";
+  const std::string journal_path = test_scratch_dir() + "store_coldresume.sfj";
   write_file(journal_path, "");
   {
     CampaignJournal journal(journal_path);
@@ -705,7 +708,7 @@ TEST(StoreCampaign, FifoTraceStoreSectionMatchesPrePolicyByteImage) {
     artifacts.open();
     obs::TraceRecorder recorder;
     pipeline.run(records, nullptr, &recorder, &artifacts);
-    const std::string path = ::testing::TempDir() + "store_trace_" + tag + ".json";
+    const std::string path = test_scratch_dir() + "store_trace_" + tag + ".json";
     obs::write_chrome_trace_file(path, recorder.doc());
     return read_file(path);
   };

@@ -25,27 +25,6 @@ TEST(StringUtil, SplitEmpty) {
   EXPECT_EQ(parts[0], "");
 }
 
-TEST(StringUtil, Trim) {
-  EXPECT_EQ(trim("  abc\t\n"), "abc");
-  EXPECT_EQ(trim("abc"), "abc");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim(""), "");
-}
-
-TEST(StringUtil, StartsWith) {
-  EXPECT_TRUE(starts_with("summit", "sum"));
-  EXPECT_FALSE(starts_with("sum", "summit"));
-  EXPECT_TRUE(starts_with("x", ""));
-}
-
-TEST(StringUtil, ToLower) { EXPECT_EQ(to_lower("AbC9"), "abc9"); }
-
-TEST(StringUtil, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-}
-
 TEST(StringUtil, Format) { EXPECT_EQ(format("%d-%s", 7, "x"), "7-x"); }
 
 TEST(StringUtil, HumanDuration) {

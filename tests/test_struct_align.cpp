@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,24 @@ namespace sf {
 namespace reference {
 
 namespace {
+
+// The weighted superposition geom/kabsch exported while this search
+// was the product's, verbatim.
+Superposition kabsch_weighted(const std::vector<Vec3>& mobile, const std::vector<Vec3>& target,
+                              const std::vector<double>& weights) {
+  if (mobile.size() != target.size() || mobile.size() != weights.size() || mobile.empty()) {
+    throw std::invalid_argument("kabsch_weighted: size mismatch or empty input");
+  }
+  double wsum = 0.0;
+  for (double w : weights) wsum += w;
+  if (wsum <= 0.0) throw std::invalid_argument("kabsch_weighted: non-positive weight sum");
+  const auto m = [&](std::size_t i) -> const Vec3& { return mobile[i]; };
+  const auto t = [&](std::size_t i) -> const Vec3& { return target[i]; };
+  const auto w = [&](std::size_t i) { return weights[i]; };
+  Superposition sp = superpose(mobile.size(), m, t, w, wsum);
+  sp.rmsd = superposition_rmsd(sp, mobile.size(), m, t, w, wsum);
+  return sp;
+}
 
 // Needleman-Wunsch over a dense similarity matrix with linear gaps;
 // returns the monotone correspondence maximizing total similarity.

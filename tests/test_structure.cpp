@@ -31,7 +31,7 @@ TEST(Structure, SequenceString) { EXPECT_EQ(make_tiny().sequence_string(), "AGW"
 TEST(Structure, AtomCounts) {
   const Structure s = make_tiny();
   // Residue 0: N CA C O CB = 5; residue 1: 4; residue 2: N CA C O CB SC = 6.
-  EXPECT_EQ(s.modeled_atom_count(), 15u);
+  EXPECT_EQ(s.all_atom_coords().size(), 15u);
   EXPECT_EQ(s.heavy_atom_count(), 5 + 4 + 14);
 }
 
@@ -48,7 +48,7 @@ TEST(Structure, CaCoordsRoundTrip) {
 TEST(Structure, AllAtomRoundTrip) {
   Structure s = make_tiny();
   auto coords = s.all_atom_coords();
-  ASSERT_EQ(coords.size(), s.modeled_atom_count());
+  ASSERT_EQ(coords.size(), 15u);
   for (auto& p : coords) p += Vec3{1, 2, 3};
   s.set_all_atom_coords(coords);
   const auto coords2 = s.all_atom_coords();
@@ -83,7 +83,7 @@ TEST(Structure, CentroidAndGyration) {
 TEST(Structure, EmptyIsSafe) {
   const Structure s;
   EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.modeled_atom_count(), 0u);
+  EXPECT_TRUE(s.all_atom_coords().empty());
   EXPECT_EQ(s.heavy_atom_count(), 0);
   EXPECT_TRUE(s.ca_coords().empty());
 }

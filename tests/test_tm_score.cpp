@@ -478,7 +478,14 @@ TEST(TmScoreSearch, KabschMatchesTheReferenceBitForBit) {
     Rng rng(static_cast<std::uint64_t>(n));
     std::vector<double> w;
     for (int i = 0; i < n; ++i) w.push_back(rng.uniform(0.02, 1.0));
-    expect_same_superposition(kabsch_weighted(b, a, w), ref::kabsch_weighted(b, a, w));
+    double wsum = 0.0;
+    for (double x : w) wsum += x;
+    const auto mob = [&](std::size_t i) -> const Vec3& { return b[i]; };
+    const auto tgt = [&](std::size_t i) -> const Vec3& { return a[i]; };
+    const auto wt = [&](std::size_t i) { return w[i]; };
+    Superposition sp = superpose(b.size(), mob, tgt, wt, wsum);
+    sp.rmsd = superposition_rmsd(sp, b.size(), mob, tgt, wt, wsum);
+    expect_same_superposition(sp, ref::kabsch_weighted(b, a, w));
   }
 }
 

@@ -13,7 +13,6 @@ TEST(Violations, CleanChainHasNone) {
   const ViolationReport rep = count_violations(ca);
   EXPECT_EQ(rep.clashes, 0u);
   EXPECT_EQ(rep.bumps, 0u);
-  EXPECT_FALSE(rep.is_clashed());
 }
 
 TEST(Violations, DetectsASingleClash) {
@@ -42,17 +41,6 @@ TEST(Violations, AdjacentResiduesExcluded) {
   EXPECT_EQ(rep.bumps, 0u);
   // With min_separation 1 the same chain is full of bumps.
   EXPECT_EQ(count_violations(ca, 1).bumps, 19u);
-}
-
-TEST(Violations, ClashedModelRule) {
-  ViolationReport rep;
-  rep.clashes = 5;
-  EXPECT_TRUE(rep.is_clashed());
-  rep.clashes = 4;
-  rep.bumps = 50;
-  EXPECT_FALSE(rep.is_clashed());
-  rep.bumps = 51;
-  EXPECT_TRUE(rep.is_clashed());
 }
 
 // Property: the cell-list path agrees exactly with the quadratic path.

@@ -1,5 +1,6 @@
-// Whole-repo call graph over the symbol index, and the two
-// interprocedural rule families built on it:
+// Whole-repo call graph over the symbol index, and the interprocedural
+// rule families built on it (U1, the reachability rule, is declared at
+// the end):
 //
 //   R1  taint reachability: starting from task-function entry points
 //       (lambdas bound to a TaskFn or passed to Executor::map or
@@ -43,6 +44,12 @@ struct InterprocFinding {
 // Run R1 + C1 over every file. `tokens` must hold the token stream of
 // each scanned file keyed by repo-relative path.
 std::vector<InterprocFinding> run_interproc(
+    const std::map<std::string, std::vector<Token>>& tokens, const Config& cfg);
+
+// Run U1 (unused.cpp): one finding per src/ definition no product root
+// reaches. `tokens` holds every indexed file, bench/ and wallbench/
+// included; no finding unless some file defines `main`.
+std::vector<InterprocFinding> run_unused(
     const std::map<std::string, std::vector<Token>>& tokens, const Config& cfg);
 
 }  // namespace sf::lint

@@ -176,8 +176,9 @@ FileIndex index_file(const std::string& path, const std::vector<Token>& t,
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (!is_identifier(t[i].text) || tok(t, i + 1) != "(") continue;
     if (def_keyword_blocklist().count(t[i].text)) continue;
-    if (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->" || t[i - 1].text == "~"))
-      continue;  // member call or destructor
+    if (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->")) continue;  // member call
+    const bool dtor = i > 0 && t[i - 1].text == "~";
+    if (dtor && !opt.index_destructors) continue;
     const std::size_t close = skip_balanced(t, i + 1);
     if (close == i + 1 || close >= t.size()) continue;
     const std::size_t body = find_body_open(t, close);
@@ -187,12 +188,15 @@ FileIndex index_file(const std::string& path, const std::vector<Token>& t,
     def.file = path;
     def.line = t[i].line;
     // Walk back over `Outer::Class::` qualifiers for the display name.
-    std::string qual = def.name;
-    for (std::size_t j = i; j >= 2 && t[j - 1].text == "::" && is_identifier(t[j - 2].text);
-         j -= 2) {
+    std::string qual = dtor ? "~" + def.name : def.name;
+    std::size_t j = dtor ? i - 1 : i;
+    for (; j >= 2 && t[j - 1].text == "::" && is_identifier(t[j - 2].text); j -= 2) {
       qual = t[j - 2].text + "::" + qual;
     }
     def.qual = qual;
+    // ...and on over the return type to the previous statement's end.
+    while (j > 0 && t[j - 1].text != ";" && t[j - 1].text != "{" && t[j - 1].text != "}") --j;
+    def.decl_begin = j;
     def.param_begin = i + 2;
     def.param_end = close > 0 ? close - 1 : i + 2;
     def.body_begin = body + 1;
@@ -212,6 +216,7 @@ FileIndex index_file(const std::string& path, const std::vector<Token>& t,
     def.qual = t[i].text;
     def.file = path;
     def.line = t[i].line;
+    def.decl_begin = i;
     if (parse_lambda(t, i + 2, def) == std::string::npos) continue;
     if (i > 0 && task_types.count(t[i - 1].text)) def.is_task_entry = true;
     collect_calls(t, def.body_begin, def.body_end, def);
@@ -236,6 +241,7 @@ FileIndex index_file(const std::string& path, const std::vector<Token>& t,
           def.qual = "<task-lambda>";
           def.file = path;
           def.line = t[j].line;
+          def.decl_begin = j;
           if (parse_lambda(t, j, def) != std::string::npos) {
             def.is_task_entry = true;
             collect_calls(t, def.body_begin, def.body_end, def);

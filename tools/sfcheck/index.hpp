@@ -6,7 +6,8 @@
 // definitions, in-class bodies, ctor init lists, trailing return types,
 // `auto name = [..](..){..}` lambdas) and deliberately ignores the
 // rest. The index feeds the whole-repo call graph (callgraph.hpp) that
-// powers the interprocedural rules R1 and C1.
+// powers the interprocedural rules R1 and C1, and the reachability
+// rule U1.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +35,9 @@ struct FunctionDef {
   std::string qual;    // display name, e.g. "RelaxStage::run_subset"
   std::string file;
   int line = 0;
+  // First token of the whole definition: the return type and any
+  // qualifiers before the name (the name itself for lambdas).
+  std::size_t decl_begin = 0;
   std::size_t body_begin = 0;
   std::size_t body_end = 0;
   // Parameter-list token span (strictly between the parens); 0,0 when
@@ -72,6 +76,10 @@ struct IndexOptions {
   // (`executor.map(tasks, [&](..){..}, ..)`); Config::project_default()
   // adds SlotComputer::fill_slots.
   std::vector<std::string> task_entry_calls = {"map"};
+  // Also index `X::~X() {..}` (and in-class `~X() {..}`) under the
+  // base name X, so naming a type reaches its destructor. Only U1 asks
+  // for this; R1's call graph keeps today's edges.
+  bool index_destructors = false;
 };
 
 // True for identifiers that can never be a call reference (control

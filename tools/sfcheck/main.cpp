@@ -1,6 +1,7 @@
 // sfcheck CLI: scan the tree (or an explicit file list) and report.
 //
 //   sfcheck --root <repo>            lint src/, tools/, examples/
+//                                    (bench/, wallbench/: U1 roots only)
 //   sfcheck --root <repo> --json     machine-readable report on stdout
 //   sfcheck --root <repo> --sarif    SARIF 2.1.0 report on stdout
 //   sfcheck --root <repo> --baseline tools/sfcheck/baseline.sfcheck
@@ -44,7 +45,9 @@ void usage(std::ostream& out) {
   out << "usage: sfcheck [--root DIR] [--json|--sarif] [--baseline FILE]\n"
          "               [--write-baseline] [paths...]\n"
          "Lints src/, tools/ and examples/ for determinism (D1-D5), layering\n"
-         "(L1) and task purity (R1, C1) violations. tests/ and bench/ are\n"
+         "(L1) and task purity (R1, C1) violations, and reports every src/\n"
+         "definition no product reaches (U1; examples/, bench/, wallbench/\n"
+         "and tools/ are its roots). tests/ and bench/ are otherwise\n"
          "unrestricted. Suppress a finding inline:\n"
          "  // sfcheck:allow(RULE): reason\n"
          "--baseline FILE fails only on findings absent from FILE;\n"
@@ -93,7 +96,7 @@ int main(int argc, char** argv) {
         rels.push_back(to_rel(abs, root));
       }
     } else {
-      for (const char* sub : {"src", "tools", "examples"}) {
+      for (const char* sub : {"src", "tools", "examples", "bench", "wallbench"}) {
         const fs::path dir = root / sub;
         if (!fs::exists(dir)) continue;
         for (const auto& entry : fs::recursive_directory_iterator(dir)) {
@@ -106,7 +109,7 @@ int main(int argc, char** argv) {
     // be deterministic.
     std::sort(rels.begin(), rels.end());
     for (const auto& rel : rels) {
-      if (!sf::lint::is_scanned_path(rel)) continue;
+      if (!sf::lint::is_indexed_path(rel)) continue;
       files.push_back({rel, slurp(root / rel)});
     }
   } catch (const std::exception& e) {

@@ -55,6 +55,8 @@ const RuleInfo kRules[] = {
     {"R1", "task functions must not reach a nondeterminism sink through any call chain"},
     {"C1", "task lambdas must be pure: no captured-state mutation, no 'mutable', no "
            "store/journal calls"},
+    {"U1", "every src/ definition is reachable from a product (examples/, bench/, "
+           "wallbench/, tools/)"},
     {"SUP", "sfcheck:allow suppressions must carry a reason"},
 };
 

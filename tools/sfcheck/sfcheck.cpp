@@ -15,7 +15,7 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Rules (file-local). The interprocedural rules R1/C1 live in
-// callgraph.cpp; the lexer in lex.cpp; shared token sets in vocab.cpp.
+// callgraph.cpp, the reachability rule U1 in unused.cpp; the lexer in lex.cpp; shared token sets in vocab.cpp.
 // ---------------------------------------------------------------------
 
 struct Finding {
@@ -254,15 +254,28 @@ Config Config::project_default() {
   cfg.task_entry_calls = {"map", "fill_slots"};
   cfg.serial_receivers = {"store", "journal"};
   cfg.executor_home = "src/dataflow/executor";
+  cfg.u1_roots = {"examples/", "bench/", "wallbench/", "tools/"};
+  cfg.u1_target = "src/";
   return cfg;
 }
 
+namespace {
+bool is_cpp_source(const std::string& relpath) {
+  return relpath.size() > 4 && (relpath.compare(relpath.size() - 4, 4, ".cpp") == 0 ||
+                                relpath.compare(relpath.size() - 4, 4, ".hpp") == 0);
+}
+}  // namespace
+
 bool is_scanned_path(const std::string& relpath) {
-  const bool cc = relpath.size() > 4 && (relpath.compare(relpath.size() - 4, 4, ".cpp") == 0 ||
-                                         relpath.compare(relpath.size() - 4, 4, ".hpp") == 0);
-  if (!cc) return false;
+  if (!is_cpp_source(relpath)) return false;
   return path_starts_with(relpath, "src/") || path_starts_with(relpath, "tools/") ||
          path_starts_with(relpath, "examples/");
+}
+
+bool is_indexed_path(const std::string& relpath) {
+  return is_scanned_path(relpath) ||
+         (is_cpp_source(relpath) &&
+          (path_starts_with(relpath, "bench/") || path_starts_with(relpath, "wallbench/")));
 }
 
 std::string module_of(const std::string& relpath) {
@@ -276,13 +289,21 @@ std::string module_of(const std::string& relpath) {
   return relpath.substr(base, slash - base);
 }
 
-ScanResult run(const std::vector<SourceFile>& files, const Config& cfg) {
+ScanResult run(const std::vector<SourceFile>& all_files, const Config& cfg) {
   std::vector<Finding> findings;
   std::map<std::string, CleanFile> cleaned;
-  std::map<std::string, std::vector<Token>> tokens;
-  for (const auto& f : files) {
+  std::map<std::string, std::vector<Token>> all_tokens;  // U1's view
+  for (const auto& f : all_files) {
     cleaned[f.path] = clean_source(f.content);
-    tokens[f.path] = tokenize(cleaned[f.path]);
+    all_tokens[f.path] = tokenize(cleaned[f.path]);
+  }
+  // Every other rule sees only the scanned paths.
+  std::vector<SourceFile> files;
+  std::map<std::string, std::vector<Token>> tokens;
+  for (const auto& f : all_files) {
+    if (!is_scanned_path(f.path)) continue;
+    files.push_back(f);
+    tokens[f.path] = all_tokens[f.path];
   }
 
   // D3/D5 pass A: unordered variable and float names per module
@@ -369,6 +390,10 @@ ScanResult run(const std::vector<SourceFile>& files, const Config& cfg) {
 
   // R1 + C1: interprocedural rules over the whole-repo call graph.
   for (const InterprocFinding& f : run_interproc(tokens, cfg)) {
+    findings.push_back({f.file, f.line, f.rule, f.message, f.chain});
+  }
+  // U1: reachability from the products over every indexed file.
+  for (const InterprocFinding& f : run_unused(all_tokens, cfg)) {
     findings.push_back({f.file, f.line, f.rule, f.message, f.chain});
   }
 

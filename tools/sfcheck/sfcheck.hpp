@@ -48,6 +48,15 @@
 //       (per-task slot writes `x[i] = ..` are the sanctioned pattern),
 //       must not be `mutable`, and must not call the store or journal
 //       (serial call order outside tasks is a store invariant);
+//   U1  least code: when the scan holds a `main`, every src/ definition
+//       must be reachable from a product. Roots are the identifiers of
+//       every file under examples/, bench/, wallbench/ and tools/; an
+//       identifier anywhere in a reached definition (signature,
+//       initializer list, body) reaches every definition of that base
+//       name. Edges are identifiers rather than calls so function
+//       values, constructors named by type, virtual overrides and
+//       TaskFn targets all count (see unused.cpp). bench/ and
+//       wallbench/ are indexed for U1 only;
 //   SUP suppressions must carry a reason: an inline
 //       `// sfcheck:allow(RULE): reason` with an empty reason is
 //       itself a violation (and suppresses nothing).
@@ -56,7 +65,7 @@
 //   std::ofstream raw(p);  // sfcheck:allow(D4): doc example, never shipped
 // Multiple rules may share one comment: sfcheck:allow(D2,D4): reason.
 // R1/C1 diagnostics anchor at the task lambda's entry line; that is
-// where their suppressions live.
+// where their suppressions live. U1 anchors at the definition's line.
 //
 // The scanner is a lexer plus a pattern-based symbol indexer, not a
 // compiler (no libclang): comments/strings are stripped before rules
@@ -75,7 +84,7 @@ namespace sf::lint {
 struct Diagnostic {
   std::string file;
   int line = 0;          // 1-based; 0 for whole-graph diagnostics
-  std::string rule;      // "D1".."D5", "L1", "R1", "C1", "SUP"
+  std::string rule;      // "D1".."D5", "L1", "R1", "C1", "U1", "SUP"
   std::string message;
   std::string reason;    // suppression reason (suppressed entries only)
   // Interprocedural findings carry the call chain, entry first, as
@@ -124,6 +133,11 @@ struct Config {
   // *implement* the task-function contract (accounting by design), so
   // they are not R1/C1 entry points.
   std::string executor_home = "src/dataflow/executor";
+  // U1: path prefixes of the product trees (every identifier in them
+  // is a root; empty disables the rule), and the prefix whose
+  // definitions must be reached from one.
+  std::vector<std::string> u1_roots;
+  std::string u1_target = "src/";
 
   // The summitfold tree's own layout and rules.
   static Config project_default();
@@ -137,6 +151,9 @@ struct ScanResult {
 // True for files sfcheck lints: .cpp/.hpp under src/, tools/ or
 // examples/. tests/ and bench/ are deliberately unrestricted.
 bool is_scanned_path(const std::string& relpath);
+// True for files the scan reads: the scanned paths plus .cpp/.hpp
+// under bench/ and wallbench/, which only U1 sees (as roots).
+bool is_indexed_path(const std::string& relpath);
 
 // "src/geom/vec3.hpp" -> "geom"; "tools/sftrace/main.cpp" -> "sftrace";
 // "examples/proteome_campaign.cpp" -> "examples" (a pseudo-module so
