@@ -141,78 +141,4 @@ MinimizeResult minimize_lbfgs(const ForceField& ff, std::vector<Vec3>& coords,
   return res;
 }
 
-MinimizeResult minimize_fire(const ForceField& ff, std::vector<Vec3>& coords,
-                             const MinimizeOptions& options) {
-  MinimizeResult res;
-  const std::size_t n = coords.size();
-  if (n == 0) return res;
-
-  // FIRE parameters (Bitzek et al. 2006 defaults).
-  constexpr double kDtStart = 0.02;
-  constexpr double kDtMax = 0.3;
-  constexpr double kFInc = 1.1;
-  constexpr double kFDec = 0.5;
-  constexpr double kAlphaStart = 0.1;
-  constexpr double kFAlpha = 0.99;
-  constexpr int kNMin = 5;
-
-  std::vector<Vec3> grad(n);
-  std::vector<Vec3> vel(n, Vec3{});
-  double energy = ff.energy_and_gradient(coords, grad);
-  ++res.energy_evaluations;
-  res.initial_energy = energy;
-  double prev_energy = energy;
-
-  double dt = kDtStart;
-  double alpha = kAlphaStart;
-  int steps_since_negative = 0;
-
-  for (int step = 0; step < options.max_steps; ++step) {
-    // Force is -grad.
-    double power = 0.0;
-    for (std::size_t i = 0; i < n; ++i) power += -grad[i].dot(vel[i]);
-    if (power > 0.0) {
-      ++steps_since_negative;
-      const double vnorm = std::sqrt(dot_all(vel, vel));
-      const double gnorm = std::sqrt(dot_all(grad, grad));
-      if (gnorm > 1e-12) {
-        const double mix = alpha * vnorm / gnorm;
-        for (std::size_t i = 0; i < n; ++i) {
-          vel[i] = vel[i] * (1.0 - alpha) - grad[i] * mix;
-        }
-      }
-      if (steps_since_negative > kNMin) {
-        dt = std::min(dt * kFInc, kDtMax);
-        alpha *= kFAlpha;
-      }
-    } else {
-      vel.assign(n, Vec3{});
-      dt *= kFDec;
-      alpha = kAlphaStart;
-      steps_since_negative = 0;
-    }
-    // Semi-implicit Euler.
-    for (std::size_t i = 0; i < n; ++i) {
-      vel[i] -= grad[i] * dt;
-      coords[i] += vel[i] * dt;
-    }
-    energy = ff.energy_and_gradient(coords, grad);
-    ++res.energy_evaluations;
-    ++res.steps;
-
-    if (rms_norm(grad) < options.grad_tolerance) {
-      res.converged = true;
-      break;
-    }
-    const double delta_e = prev_energy - energy;
-    if (delta_e >= 0.0 && delta_e < options.energy_tolerance && step > 10) {
-      res.converged = true;
-      break;
-    }
-    prev_energy = energy;
-  }
-  res.final_energy = energy;
-  return res;
-}
-
 }  // namespace sf

@@ -34,10 +34,4 @@ struct MinimizeResult {
 MinimizeResult minimize_lbfgs(const ForceField& ff, std::vector<Vec3>& coords,
                               const MinimizeOptions& options = {});
 
-// FIRE (Bitzek et al. 2006): damped dynamics with adaptive timestep;
-// robust on rugged starts, used as the alternative backend and in tests
-// as an independent check that both optimizers find equivalent minima.
-MinimizeResult minimize_fire(const ForceField& ff, std::vector<Vec3>& coords,
-                             const MinimizeOptions& options = {});
-
 }  // namespace sf

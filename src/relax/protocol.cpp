@@ -2,17 +2,6 @@
 
 namespace sf {
 
-namespace {
-
-MinimizeResult run_backend(const ForceField& ff, std::vector<Vec3>& coords,
-                           const RelaxParams& params) {
-  return params.backend == MinimizerBackend::kFire
-             ? minimize_fire(ff, coords, params.minimize)
-             : minimize_lbfgs(ff, coords, params.minimize);
-}
-
-}  // namespace
-
 double RelaxOutcome::simulated_seconds(RelaxPlatform platform,
                                        const RelaxCostModel& model) const {
   return model.task_seconds(platform, heavy_atoms, energy_evaluations, rounds);
@@ -26,7 +15,7 @@ RelaxOutcome relax_single_pass(const Structure& model, const RelaxParams& params
 
   ForceField ff(model, params.forcefield);
   auto coords = model.all_atom_coords();
-  const MinimizeResult mr = run_backend(ff, coords, params);
+  const MinimizeResult mr = minimize_lbfgs(ff, coords, params.minimize);
   out.relaxed.set_all_atom_coords(coords);
 
   out.rounds = 1;
@@ -55,7 +44,7 @@ RelaxOutcome relax_af2_loop(const Structure& model, const RelaxParams& params) {
     Structure current = out.relaxed;
     current.set_all_atom_coords(coords);
     ForceField ff(current, ff_params);
-    const MinimizeResult mr = run_backend(ff, coords, params);
+    const MinimizeResult mr = minimize_lbfgs(ff, coords, params.minimize);
     ++out.rounds;
     out.total_steps += mr.steps;
     out.energy_evaluations += mr.energy_evaluations;

@@ -23,12 +23,9 @@
 
 namespace sf {
 
-enum class MinimizerBackend { kLbfgs, kFire };
-
 struct RelaxParams {
   ForceFieldParams forcefield;
   MinimizeOptions minimize;
-  MinimizerBackend backend = MinimizerBackend::kLbfgs;
   // AF2 loop controls.
   int af2_max_rounds = 5;
   double af2_repulsion_stiffen = 2.0;  // wall k multiplier per extra round

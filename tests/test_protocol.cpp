@@ -125,14 +125,5 @@ TEST(Protocol, OutcomeMetadataConsistent) {
   EXPECT_LE(out.final_energy, out.initial_energy);
 }
 
-TEST(Protocol, FireBackendWorksToo) {
-  RelaxWorld w;
-  const Prediction p = w.predict(w.records[5]);
-  RelaxParams params;
-  params.backend = MinimizerBackend::kFire;
-  const RelaxOutcome out = relax_single_pass(p.structure, params);
-  EXPECT_EQ(out.violations_after.clashes, 0u);
-}
-
 }  // namespace
 }  // namespace sf
