@@ -1,7 +1,6 @@
 #include "dataflow/executor.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/trace.hpp"
 #include "sim/cluster.hpp"
@@ -49,14 +48,9 @@ MapResult Executor::map(const std::vector<TaskSpec>& tasks, const TaskFn& fn,
   const bool inject = faults != nullptr && faults->active();
   const bool tracing = sink != nullptr && sink->active();
 
-  // Per-attempt outcomes captured for the sink during the current round
-  // (ordered map: emission walks the batch vector, not this container).
-  struct AttemptCapture {
-    bool ok = true;
-    double duration_s = 0.0;
-    obs::SpanFault fault = obs::SpanFault::kNone;
-  };
-  std::map<std::uint64_t, AttemptCapture> captured;
+  // The current round's attempts in batch order: every backend calls
+  // the task function once per task in that order.
+  std::vector<Attempt> attempts;
 
   // The fault-aware wrapper runs on every backend, which calls it
   // serially in batch order. Decisions are pure functions of (plan,
@@ -67,11 +61,11 @@ MapResult Executor::map(const std::vector<TaskSpec>& tasks, const TaskFn& fn,
     if (!o.ok) {
       ++out.faults.intrinsic_failures;
       out.faults.lost_work_s += o.sim_duration_s;
-      if (tracing) captured[t.id] = {false, o.sim_duration_s, obs::SpanFault::kIntrinsic};
+      attempts.push_back({o, FaultKind::kNone});
       return o;
     }
     if (!inject) {
-      if (tracing) captured[t.id] = {true, o.sim_duration_s, obs::SpanFault::kNone};
+      attempts.push_back({o, FaultKind::kNone});
       return o;
     }
     const FaultDecision d = faults->decide(t.id, at);
@@ -106,42 +100,44 @@ MapResult Executor::map(const std::vector<TaskSpec>& tasks, const TaskFn& fn,
         o.sim_duration_s += d.extra_delay_s;
         break;
     }
-    if (tracing) captured[t.id] = {o.ok, o.sim_duration_s, to_span_fault(d.kind, false)};
+    attempts.push_back({o, d.kind});
     return o;
   };
 
-  // Stream one round into the sink: the batch vector in submission
-  // order is the canonical event order on every backend (the DES
-  // dispatches queue-head first). `crashed_pre` is the raw pre-round
-  // crash count; the sink clamps it against its canonical width.
-  const auto emit_round = [&](const std::vector<TaskSpec>& batch, int attempt, bool alt,
-                              double backoff_s, int crashed_pre, double cost_scale) {
-    if (!tracing) return;
-    obs::RoundInfo round;
-    round.attempt = attempt;
-    round.alt_pool = alt;
-    round.backoff_s = backoff_s;
-    round.workers_lost = crashed_pre;
-    sink->begin_round(round);
-    for (const TaskSpec& t : batch) {
-      const auto it = captured.find(t.id);
-      if (it == captured.end()) continue;  // fn never ran (cannot happen)
-      obs::AttemptEvent ev;
-      ev.task_id = t.id;
-      ev.name = t.name;
-      ev.ok = it->second.ok;
-      ev.fault = it->second.fault;
-      // Same expression as the simulated backend's duration_of().
-      ev.duration_s = it->second.duration_s * cost_scale;
-      sink->record_attempt(ev);
+  // Close one round: hand its attempts to the backend, then stream them
+  // into the sink. The batch vector in submission order is the
+  // canonical event order on every backend (the DES dispatches
+  // queue-head first). `crashed_pre` is the raw pre-round crash count;
+  // the sink clamps it against its canonical width.
+  const auto end_round = [&](const std::vector<TaskSpec>& batch, const BatchEnv& env,
+                             int crashed_pre) {
+    after_round(batch, env, attempts);
+    if (tracing) {
+      obs::RoundInfo round;
+      round.attempt = env.attempt.attempt;
+      round.alt_pool = env.pool == Pool::kAlt;
+      round.backoff_s = env.delay_s;
+      round.workers_lost = crashed_pre;
+      sink->begin_round(round);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Attempt& a = attempts[i];
+        obs::AttemptEvent ev;
+        ev.task_id = batch[i].id;
+        ev.name = batch[i].name;
+        ev.ok = a.outcome.ok;
+        ev.fault = to_span_fault(a.fault, !a.outcome.ok && a.fault == FaultKind::kNone);
+        // Same expression as the simulated backend's duration_of().
+        ev.duration_s = a.outcome.sim_duration_s * env.cost_scale;
+        sink->record_attempt(ev);
+      }
     }
-    captured.clear();
+    attempts.clear();
   };
 
   std::vector<TaskSpec> failed;
   BatchEnv env;
   out.primary = run_batch(tasks, effective, env, failed);
-  emit_round(tasks, 0, false, 0.0, 0, 1.0);
+  end_round(tasks, env, 0);
 
   double scale = 1.0;
   double backoff = policy.backoff_base_s;
@@ -176,7 +172,7 @@ MapResult Executor::map(const std::vector<TaskSpec>& tasks, const TaskFn& fn,
     env.delay_s = round.backoff_s;
 
     round.run = run_batch(batch, effective, env, failed);
-    emit_round(batch, attempt, alt, round.backoff_s, crashed_pre, scale);
+    end_round(batch, env, crashed_pre);
     if (alt) out.rerouted_tasks += round.tasks;
     out.retry_attempts += round.tasks;
     out.retries.push_back(std::move(round));
@@ -247,18 +243,6 @@ DataflowRunResult SimulatedExecutor::run_batch(const std::vector<TaskSpec>& batc
     return o.sim_duration_s * env.cost_scale;
   };
   return run_simulated_dataflow(batch, duration, round_params(env));
-}
-
-DataflowRunResult SimulatedExecutor::run_recorded(const std::vector<TaskSpec>& batch,
-                                                  const TaskFn& fn, const BatchEnv& env,
-                                                  std::vector<TaskSpec>& failed,
-                                                  std::vector<TaskOutcome>& outcomes) {
-  outcomes.reserve(batch.size());
-  const TaskFn recording = [&](const TaskSpec& t, const TaskAttempt& at) {
-    outcomes.push_back(fn(t, at));
-    return outcomes.back();
-  };
-  return SimulatedExecutor::run_batch(batch, recording, env, failed);
 }
 
 }  // namespace sf

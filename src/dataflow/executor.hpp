@@ -104,14 +104,14 @@ class Executor {
  public:
   virtual ~Executor() = default;
 
-  virtual const char* name() const = 0;
   virtual int workers() const = 0;      // primary pool width
   virtual int alt_workers() const = 0;  // alternate pool width (0 = none)
 
   // Map `fn` over `tasks` (already ordered) under `policy`, optionally
   // injecting `faults` and emitting per-attempt trace events into
   // `sink`. The retry loop is shared across backends (template method);
-  // backends only supply run_batch().
+  // backends supply run_batch() and may observe each round through
+  // after_round().
   MapResult map(const std::vector<TaskSpec>& tasks, const TaskFn& fn,
                 const RetryPolicy& policy = {}, const FaultInjector* faults = nullptr,
                 obs::TraceSink* sink = nullptr);
@@ -128,10 +128,24 @@ class Executor {
     double delay_s = 0.0;  // backoff wait before the round starts
   };
 
+  // One task's attempt as its round ran it: the outcome after fault
+  // injection (duration before the round's cost scale) and the injected
+  // fault class (kNone for a clean or an intrinsically failed attempt).
+  struct Attempt {
+    TaskOutcome outcome;
+    FaultKind fault = FaultKind::kNone;
+  };
+
   // Run one attempt of `batch` under `env`; append tasks whose outcome
   // was not ok to `failed` in batch submission order.
   virtual DataflowRunResult run_batch(const std::vector<TaskSpec>& batch, const TaskFn& fn,
                                       const BatchEnv& env, std::vector<TaskSpec>& failed) = 0;
+
+  // Called once per round, after run_batch(), with `attempts[i]` the
+  // attempt of `batch[i]`. The same record feeds the trace; the base
+  // does nothing with it.
+  virtual void after_round(const std::vector<TaskSpec>& /*batch*/, const BatchEnv& /*env*/,
+                           const std::vector<Attempt>& /*attempts*/) {}
 };
 
 // Simulated-time backend: wraps run_simulated_dataflow() for the primary
@@ -150,7 +164,6 @@ class SimulatedExecutor : public Executor {
   static SimulatedExecutor from_pools(const SimulatedDataflowParams& base,
                                       const WorkerPool& primary, const WorkerPool& alt);
 
-  const char* name() const override { return "simulated"; }
   int workers() const override { return primary_.workers; }
   int alt_workers() const override { return alt_.workers; }
 
@@ -159,13 +172,6 @@ class SimulatedExecutor : public Executor {
   // submission order (the DES dispatches queue-head first).
   DataflowRunResult run_batch(const std::vector<TaskSpec>& batch, const TaskFn& fn,
                               const BatchEnv& env, std::vector<TaskSpec>& failed) override;
-
-  // run_batch() through an outcome-recording wrapper: `outcomes[i]` is
-  // batch[i]'s outcome. For subclasses that act on the round after the
-  // DES ran it.
-  DataflowRunResult run_recorded(const std::vector<TaskSpec>& batch, const TaskFn& fn,
-                                 const BatchEnv& env, std::vector<TaskSpec>& failed,
-                                 std::vector<TaskOutcome>& outcomes);
 
   // DES parameters of the round `env` describes: the pool it names,
   // narrowed by the crashed workers (at least one remains) and with the

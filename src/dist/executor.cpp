@@ -158,29 +158,23 @@ obs::DistTrace DistCluster::trace() const {
 // DistributedExecutor.
 // ------------------------------------------------------------------ //
 
-DataflowRunResult DistributedExecutor::run_batch(const std::vector<TaskSpec>& batch,
-                                                 const TaskFn& fn, const BatchEnv& env,
-                                                 std::vector<TaskSpec>& failed) {
-  // The canonical round, keeping each task's outcome.
-  std::vector<TaskOutcome> outcomes;
-  DataflowRunResult res = run_recorded(batch, fn, env, failed, outcomes);
-
+void DistributedExecutor::after_round(const std::vector<TaskSpec>& batch, const BatchEnv& env,
+                                      const std::vector<Attempt>& attempts) {
   // The distributed pass: observability only, never billed into the
-  // result (the store-pricing precedent).
+  // round's result (the store-pricing precedent).
   if (env.pool == Pool::kAlt) {
     cluster_->note_alt_round(batch.size());
-    return res;
+    return;
   }
   std::vector<double> dur(batch.size(), 0.0);
   std::vector<char> ok(batch.size(), 1);
   std::vector<TaskLocality> locality(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    dur[i] = outcomes[i].sim_duration_s * env.cost_scale;
-    ok[i] = outcomes[i].ok ? 1 : 0;
+    dur[i] = attempts[i].outcome.sim_duration_s * env.cost_scale;
+    ok[i] = attempts[i].outcome.ok ? 1 : 0;
     if (locality_) locality[i] = locality_(batch[i]);
   }
   cluster_->run_round(batch, dur, ok, locality, round_params(env));
-  return res;
 }
 
 }  // namespace sf::dist

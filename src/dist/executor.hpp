@@ -10,17 +10,18 @@
 // Byte-identity contract (the tentpole invariant): campaign stdout,
 // journals, and canonical trace sections are byte-identical to the
 // SimulatedExecutor at ANY node count. DistributedExecutor IS that
-// SimulatedExecutor (built from make_stage_executor()'s pools), and its
-// run_batch() achieves the contract by construction:
+// SimulatedExecutor (built from make_stage_executor()'s pools), which
+// achieves the contract by construction:
 //   1. SimulatedExecutor::run_batch() runs the canonical DES round --
 //      the task function once per task, in batch submission order --
 //      so every serial side effect (fault accounting, trace events) and
 //      the returned DataflowRunResult, hence MapResult, are bit-equal.
 //   2. The distributed pass (routing, fetches, coherence, crashes) then
-//      consumes only the outcomes that round recorded and feeds only
-//      observability: DistCluster counters, the sfDist trace section,
-//      stderr reports, and benchmarks. Like store staging prices,
-//      distributed time is measured, never billed into stage reports.
+//      runs in after_round(), consumes only the attempts Executor::map()
+//      recorded for that round, and feeds only observability:
+//      DistCluster counters, the sfDist trace section, stderr reports,
+//      and benchmarks. Like store staging prices, distributed time is
+//      measured, never billed into stage reports.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +87,6 @@ class DistributedExecutor final : public SimulatedExecutor {
   DistributedExecutor(const SimulatedExecutor& modeled, DistCluster& cluster)
       : SimulatedExecutor(modeled), cluster_(&cluster) {}
 
-  const char* name() const override { return "distributed"; }
-
   // core/stage_map installs each stage's locality provider before its
   // map() so the router and the coherence protocol see the stage's
   // artifact flow; without one, tasks carry no needs/produces and
@@ -98,8 +97,8 @@ class DistributedExecutor final : public SimulatedExecutor {
   DistCluster* cluster() { return cluster_; }
 
  protected:
-  DataflowRunResult run_batch(const std::vector<TaskSpec>& batch, const TaskFn& fn,
-                              const BatchEnv& env, std::vector<TaskSpec>& failed) override;
+  void after_round(const std::vector<TaskSpec>& batch, const BatchEnv& env,
+                   const std::vector<Attempt>& attempts) override;
 
  private:
   DistCluster* cluster_;

@@ -5,7 +5,6 @@
 
 #include "fold/memory_model.hpp"
 #include "geom/backbone.hpp"
-#include "seqsearch/feature_model.hpp"
 
 namespace sf {
 namespace {
@@ -42,27 +41,8 @@ bool Interactome::interacts(std::size_t i, std::size_t j) const {
   return rng.chance(std::min(1.0, rate));
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> Interactome::pairs() const {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      if (interacts(i, j)) out.emplace_back(i, j);
-    }
-  }
-  return out;
-}
-
 ComplexEngine::ComplexEngine(const FoldUniverse& universe, ComplexEngineParams params)
     : universe_(&universe), params_(params), monomer_engine_(universe, params.engine) {}
-
-ComplexPrediction ComplexEngine::predict_pair(const ProteinRecord& a, const ProteinRecord& b,
-                                              const Interactome& interactome,
-                                              std::size_t index_a, std::size_t index_b,
-                                              const PresetConfig& preset) const {
-  return predict_pair(a, b, sample_features(a, LibraryKind::kReduced),
-                      sample_features(b, LibraryKind::kReduced), interactome, index_a, index_b,
-                      preset);
-}
 
 std::array<ModelWeights, 2> ComplexEngine::chain_models() {
   const auto models = five_models();

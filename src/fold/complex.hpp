@@ -47,8 +47,6 @@ class Interactome {
 
   std::size_t num_proteins() const { return n_; }
   bool interacts(std::size_t i, std::size_t j) const;
-  // All interacting pairs (i < j).
-  std::vector<std::pair<std::size_t, std::size_t>> pairs() const;
 
  private:
   std::size_t n_ = 0;
@@ -82,15 +80,9 @@ class ComplexEngine {
  public:
   ComplexEngine(const FoldUniverse& universe, ComplexEngineParams params = {});
 
-  // Predict the complex of two records. Deterministic. Memory scales
-  // with the combined length (the reason complex prediction OOMs so much
-  // earlier than monomers). Samples reduced-library features for both
-  // chains internally.
-  ComplexPrediction predict_pair(const ProteinRecord& a, const ProteinRecord& b,
-                                 const Interactome& interactome, std::size_t index_a,
-                                 std::size_t index_b, const PresetConfig& preset) const;
-
-  // Same prediction from precomputed per-chain features: the
+  // Predict the complex of two records from their per-chain features.
+  // Deterministic. Memory scales with the combined length (the reason
+  // complex prediction OOMs so much earlier than monomers): the
   // combined-length memory check, then both chains' monomer predictions
   // (chain_models()), then assemble(). An over-budget pair reports
   // out_of_memory without predicting either chain.

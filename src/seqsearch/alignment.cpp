@@ -23,10 +23,8 @@ struct DpResult {
   int best_j = 0;  // 1-based end col
 };
 
-// Gotoh affine-gap DP over the window j in [lo(i), hi(i)]. `local` selects
-// Smith-Waterman (clamp at 0, best anywhere) vs Needleman-Wunsch
-// (no clamp, best at corner). Traceback matrices are (n+1) x (m+1).
-template <bool Local>
+// Gotoh affine-gap Smith-Waterman DP (clamped at 0, best anywhere) over
+// the window j in [lo(i), hi(i)]. Traceback matrices are (n+1) x (m+1).
 DpResult run_dp(std::string_view q, std::string_view s, const AlignmentParams& p,
                 int diagonal, int band, std::vector<std::uint8_t>& tb_h,
                 std::vector<std::uint8_t>& tb_e, std::vector<std::uint8_t>& tb_f) {
@@ -47,34 +45,18 @@ DpResult run_dp(std::string_view q, std::string_view s, const AlignmentParams& p
     return std::min(m, i - diagonal + band);
   };
 
-  std::vector<int> h_prev(stride, Local ? 0 : kNegInf);
-  std::vector<int> h_cur(stride, kNegInf);
+  std::vector<int> h_prev(stride, 0);
+  std::vector<int> h_cur(stride, 0);
   std::vector<int> e_cur(stride, kNegInf);
   // f_cur[j] holds F(i-1, j) when row i reads it, then is overwritten
   // with F(i, j); vertical gaps extend across rows through this buffer.
   std::vector<int> f_cur(stride, kNegInf);
 
-  if (!Local) {
-    // Global initialization along the top edge: leading gaps in query.
-    h_prev[0] = 0;
-    for (int j = 1; j <= m; ++j) {
-      h_prev[static_cast<std::size_t>(j)] = p.gap_open + (j - 1) * p.gap_extend;
-      tb_h[static_cast<std::size_t>(j)] = kFromE;
-      tb_e[static_cast<std::size_t>(j)] = j > 1 ? kGapExtend : kGapOpen;
-    }
-  }
-
+  // H never drops below 0, so every H read below is finite.
   DpResult res;
-  if (!Local) res.best_score = kNegInf;
-
   for (int i = 1; i <= n; ++i) {
-    std::fill(h_cur.begin(), h_cur.end(), Local ? 0 : kNegInf);
+    std::fill(h_cur.begin(), h_cur.end(), 0);
     std::fill(e_cur.begin(), e_cur.end(), kNegInf);
-    if (!Local) {
-      h_cur[0] = p.gap_open + (i - 1) * p.gap_extend;
-      tb_h[static_cast<std::size_t>(i) * stride] = kFromF;
-      tb_f[static_cast<std::size_t>(i) * stride] = i > 1 ? kGapExtend : kGapOpen;
-    }
     const int lo = window_lo(i);
     const int hi = window_hi(i);
     const char qc = q[static_cast<std::size_t>(i - 1)];
@@ -91,20 +73,15 @@ DpResult run_dp(std::string_view q, std::string_view s, const AlignmentParams& p
       e_cur[static_cast<std::size_t>(j)] = e;
       // F: gap in subject (move along query); extends vertically from row
       // i-1, whose value is still in f_cur[j].
-      const int f_open = h_prev[static_cast<std::size_t>(j)] == kNegInf
-                             ? kNegInf
-                             : h_prev[static_cast<std::size_t>(j)] + p.gap_open;
+      const int f_open = h_prev[static_cast<std::size_t>(j)] + p.gap_open;
       const int f_prev_row = f_cur[static_cast<std::size_t>(j)];
       int fv = f_open;
       if (f_prev_row != kNegInf && f_prev_row + p.gap_extend > fv) {
         fv = f_prev_row + p.gap_extend;
         tb_f[idx] = kGapExtend;
       }
-      const int diag_base = h_prev[static_cast<std::size_t>(j - 1)];
-      const int match = diag_base == kNegInf
-                            ? kNegInf
-                            : diag_base + blosum62(qc, s[static_cast<std::size_t>(j - 1)]);
-      int best = match;
+      int best = h_prev[static_cast<std::size_t>(j - 1)] +
+                 blosum62(qc, s[static_cast<std::size_t>(j - 1)]);
       std::uint8_t dir = kDiag;
       if (e > best) {
         best = e;
@@ -114,14 +91,14 @@ DpResult run_dp(std::string_view q, std::string_view s, const AlignmentParams& p
         best = fv;
         dir = kFromF;
       }
-      if (Local && best <= 0) {
+      if (best <= 0) {
         best = 0;
         dir = kStop;
       }
       h_cur[static_cast<std::size_t>(j)] = best;
       tb_h[idx] = dir;
       f_cur[static_cast<std::size_t>(j)] = fv;
-      if (Local && best > res.best_score) {
+      if (best > res.best_score) {
         res.best_score = best;
         res.best_i = i;
         res.best_j = j;
@@ -129,36 +106,25 @@ DpResult run_dp(std::string_view q, std::string_view s, const AlignmentParams& p
     }
     std::swap(h_prev, h_cur);
   }
-  if (!Local) {
-    res.best_score = h_prev[static_cast<std::size_t>(m)];
-    res.best_i = n;
-    res.best_j = m;
-  }
   return res;
 }
 
 AlignmentResult traceback(std::string_view q, std::string_view s, const DpResult& dp,
                           std::size_t stride, const std::vector<std::uint8_t>& tb_h,
                           const std::vector<std::uint8_t>& tb_e,
-                          const std::vector<std::uint8_t>& tb_f, bool local) {
+                          const std::vector<std::uint8_t>& tb_f) {
   AlignmentResult res;
   res.score = dp.best_score;
   int i = dp.best_i;
   int j = dp.best_j;
-  // Walk H/E/F states back to the origin (local: first kStop; global:
-  // cell (0,0)).
+  // Walk H/E/F states back to the first kStop.
   enum class State { H, E, F } state = State::H;
   std::vector<std::pair<int, int>> rev;
   while (i > 0 || j > 0) {
     const std::size_t idx = static_cast<std::size_t>(i) * stride + static_cast<std::size_t>(j);
     if (state == State::H) {
       const std::uint8_t dir = tb_h[idx];
-      if (dir == kStop) {
-        if (local) break;
-        // Global corner: nothing left.
-        if (i == 0 && j == 0) break;
-        break;
-      }
+      if (dir == kStop) break;
       if (dir == kDiag) {
         rev.emplace_back(i - 1, j - 1);
         --i;
@@ -198,27 +164,26 @@ AlignmentResult traceback(std::string_view q, std::string_view s, const DpResult
 }
 
 AlignmentResult align(std::string_view q, std::string_view s, const AlignmentParams& p,
-                      bool local, int diagonal, int band) {
+                      int diagonal, int band) {
   if (q.empty() || s.empty()) return {};
   std::vector<std::uint8_t> tb_h;
   std::vector<std::uint8_t> tb_e;
   std::vector<std::uint8_t> tb_f;
   const std::size_t stride = s.size() + 1;
-  const DpResult dp = local ? run_dp<true>(q, s, p, diagonal, band, tb_h, tb_e, tb_f)
-                            : run_dp<false>(q, s, p, diagonal, band, tb_h, tb_e, tb_f);
-  return traceback(q, s, dp, stride, tb_h, tb_e, tb_f, local);
+  const DpResult dp = run_dp(q, s, p, diagonal, band, tb_h, tb_e, tb_f);
+  return traceback(q, s, dp, stride, tb_h, tb_e, tb_f);
 }
 
 }  // namespace
 
 AlignmentResult smith_waterman(std::string_view query, std::string_view subject,
                                const AlignmentParams& params) {
-  return align(query, subject, params, /*local=*/true, 0, -1);
+  return align(query, subject, params, 0, -1);
 }
 
 AlignmentResult banded_smith_waterman(std::string_view query, std::string_view subject,
                                       int diagonal, int band, const AlignmentParams& params) {
-  return align(query, subject, params, /*local=*/true, diagonal, std::max(band, 1));
+  return align(query, subject, params, diagonal, std::max(band, 1));
 }
 
 double evalue(int score, std::size_t query_length, std::size_t library_residues) {

@@ -1,5 +1,5 @@
-// Pairwise sequence alignment (Smith-Waterman / Needleman-Wunsch with
-// affine gaps), the workhorse under the homology-search substrate that
+// Pairwise local sequence alignment (Smith-Waterman with affine gaps),
+// the workhorse under the homology-search substrate that
 // stands in for HMMER/HH-suite.
 //
 // Full O(nm) dynamic programming plus a banded variant used after k-mer

@@ -91,18 +91,6 @@ double Msa::effective_depth(double cluster_identity) const {
   return neff;
 }
 
-double Msa::mean_identity() const {
-  if (hits_.empty()) return 0.0;
-  double wsum = 0.0;
-  double acc = 0.0;
-  for (const auto& h : hits_) {
-    const double w = std::max(0.05, h.query_coverage);
-    acc += w * h.identity;
-    wsum += w;
-  }
-  return wsum > 0.0 ? acc / wsum : 0.0;
-}
-
 double InputFeatures::feature_bytes() const {
   // AlphaFold feature pickles scale with MSA rows x length (one byte per
   // cell plus ~30% metadata); template stacks add a length^2 distance map.

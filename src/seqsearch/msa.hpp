@@ -43,9 +43,6 @@ class Msa {
   // stored residues.
   double effective_depth(double cluster_identity = 0.80) const;
 
-  // Coverage-weighted mean identity of the alignment.
-  double mean_identity() const;
-
  private:
   std::string query_id_;
   std::vector<MsaHit> hits_;

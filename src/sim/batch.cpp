@@ -98,10 +98,4 @@ std::vector<ScheduledJob> BatchScheduler::schedule(std::vector<BatchJob> jobs) c
   return out;
 }
 
-double BatchScheduler::makespan(const std::vector<ScheduledJob>& schedule) {
-  double m = 0.0;
-  for (const auto& s : schedule) m = std::max(m, s.end_s);
-  return m;
-}
-
 }  // namespace sf

@@ -46,9 +46,6 @@ class BatchScheduler {
   // nodes unserved) -- callers should validate sizes first.
   std::vector<ScheduledJob> schedule(std::vector<BatchJob> jobs) const;
 
-  // Makespan of a schedule (max end time).
-  static double makespan(const std::vector<ScheduledJob>& schedule);
-
  private:
   int total_nodes_;
   QueuePolicy policy_;

@@ -97,28 +97,6 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-double Rng::gamma(double shape, double scale) {
-  if (shape < 1.0) {
-    // Boost to shape >= 1 and correct (Marsaglia-Tsang trick).
-    const double u = uniform();
-    return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = 0.0;
-    double v = 0.0;
-    do {
-      x = normal();
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    const double u = uniform();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v * scale;
-    if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v * scale;
-  }
-}
-
 bool Rng::chance(double p) { return uniform() < p; }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {

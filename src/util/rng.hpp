@@ -41,8 +41,6 @@ class Rng {
   double lognormal(double mu, double sigma);
   // Exponential with given rate (lambda).
   double exponential(double rate);
-  // Gamma(shape k, scale theta) via Marsaglia-Tsang.
-  double gamma(double shape, double scale);
   // Bernoulli trial.
   bool chance(double p);
   // Index drawn from unnormalized weights (empty -> 0).

@@ -9,33 +9,11 @@
 namespace sf {
 
 void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  max_ = n_ == 0 ? x : std::max(max_, x);
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance() const {
@@ -52,26 +30,8 @@ double SampleSet::mean() const {
   return s / static_cast<double>(xs_.size());
 }
 
-double SampleSet::stddev() const {
-  if (xs_.size() < 2) return 0.0;
-  const double m = mean();
-  double s2 = 0.0;
-  for (double x : xs_) s2 += (x - m) * (x - m);
-  return std::sqrt(s2 / static_cast<double>(xs_.size() - 1));
-}
-
-double SampleSet::min() const {
-  return xs_.empty() ? 0.0 : *std::min_element(xs_.begin(), xs_.end());
-}
-
 double SampleSet::max() const {
   return xs_.empty() ? 0.0 : *std::max_element(xs_.begin(), xs_.end());
-}
-
-double SampleSet::sum() const {
-  double s = 0.0;
-  for (double x : xs_) s += x;
-  return s;
 }
 
 double SampleSet::quantile(double q) const {

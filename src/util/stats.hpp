@@ -12,26 +12,22 @@
 
 namespace sf {
 
-// Welford single-pass mean/variance with min/max tracking.
+// Welford single-pass mean/variance with max tracking.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
   // Sample variance (n-1 denominator); 0 when fewer than two samples.
   double variance() const;
   double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
   double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 
@@ -43,10 +39,7 @@ class SampleSet {
   std::size_t count() const { return xs_.size(); }
   bool empty() const { return xs_.empty(); }
   double mean() const;
-  double stddev() const;
-  double min() const;
   double max() const;
-  double sum() const;
   // Linear-interpolated quantile, q in [0,1].
   double quantile(double q) const;
   double median() const { return quantile(0.5); }

@@ -61,11 +61,6 @@ void ThreadPool::shutdown() {
   workers_.clear();
 }
 
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
 std::size_t affinity_cpus() {
 #ifdef __linux__
   cpu_set_t set;

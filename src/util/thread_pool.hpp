@@ -60,12 +60,10 @@ class ThreadPool {
   // Stop accepting work, drain the queue, join workers. Idempotent.
   void shutdown();
 
-  std::size_t pending() const;
-
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;

@@ -7,17 +7,10 @@
 #include "bio/sequence.hpp"
 #include "native/render.hpp"
 #include "score/tm_score.hpp"
+#include "sequence_identity.hpp"
 
 namespace sf {
 namespace {
-
-// Fraction of identical positions over the shorter length (ungapped).
-double positional_identity(const std::string& a, const std::string& b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  std::size_t same = 0;
-  for (std::size_t i = 0; i < n; ++i) same += a[i] == b[i] ? 1 : 0;
-  return n == 0 ? 0.0 : static_cast<double>(same) / static_cast<double>(n);
-}
 
 TEST(FoldGrammar, SampleFoldCoversTargetLength) {
   Rng rng(1);

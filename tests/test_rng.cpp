@@ -88,19 +88,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(Rng, GammaMean) {
-  Rng rng(17);
-  double sum = 0.0;
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) sum += rng.gamma(3.0, 2.0);
-  EXPECT_NEAR(sum / n, 6.0, 0.15);  // mean = shape * scale
-
-  // Shape < 1 branch.
-  sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.gamma(0.5, 1.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.05);
-}
-
 TEST(Rng, LognormalMean) {
   Rng rng(19);
   double sum = 0.0;

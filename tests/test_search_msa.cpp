@@ -96,19 +96,6 @@ TEST(Msa, EffectiveDepthClustersRedundancy) {
   EXPECT_GT(diverse.effective_depth(0.8), 4.0);
 }
 
-TEST(Msa, MeanIdentityWeightsByCoverage) {
-  Msa msa("q");
-  MsaHit a;
-  a.identity = 1.0;
-  a.query_coverage = 1.0;
-  MsaHit b;
-  b.identity = 0.0;
-  b.query_coverage = 0.05;
-  msa.add_hit(a);
-  msa.add_hit(b);
-  EXPECT_GT(msa.mean_identity(), 0.9);
-}
-
 TEST(Features, TemplateStacksDominateBytes) {
   InputFeatures f;
   f.length = 150;

@@ -46,7 +46,6 @@ TEST(ThreadPool, WaitIdleDrainsQueue) {
   }
   pool.wait_idle();
   EXPECT_EQ(count.load(), 30);
-  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ThreadPool, SubmitAfterShutdownThrows) {

@@ -50,6 +50,6 @@ std::vector<InterprocFinding> run_interproc(
 // reaches. `tokens` holds every indexed file, bench/ and wallbench/
 // included; no finding unless some file defines `main`.
 std::vector<InterprocFinding> run_unused(
-    const std::map<std::string, std::vector<Token>>& tokens, const Config& cfg);
+    const std::map<std::string, std::vector<Token>>& tokens);
 
 }  // namespace sf::lint

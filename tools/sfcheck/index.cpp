@@ -177,8 +177,7 @@ FileIndex index_file(const std::string& path, const std::vector<Token>& t,
     if (!is_identifier(t[i].text) || tok(t, i + 1) != "(") continue;
     if (def_keyword_blocklist().count(t[i].text)) continue;
     if (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->")) continue;  // member call
-    const bool dtor = i > 0 && t[i - 1].text == "~";
-    if (dtor && !opt.index_destructors) continue;
+    const bool dtor = i > 0 && t[i - 1].text == "~";  // indexed under the class name
     const std::size_t close = skip_balanced(t, i + 1);
     if (close == i + 1 || close >= t.size()) continue;
     const std::size_t body = find_body_open(t, close);

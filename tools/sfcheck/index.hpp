@@ -4,7 +4,8 @@
 // a pattern indexer, not a parser -- it recognizes the shapes this
 // codebase actually uses (free functions, `Class::method` out-of-line
 // definitions, in-class bodies, ctor init lists, trailing return types,
-// `auto name = [..](..){..}` lambdas) and deliberately ignores the
+// destructors (under their class name), `auto name = [..](..){..}`
+// lambdas) and deliberately ignores the
 // rest. The index feeds the whole-repo call graph (callgraph.hpp) that
 // powers the interprocedural rules R1 and C1, and the reachability
 // rule U1.
@@ -76,10 +77,6 @@ struct IndexOptions {
   // (`executor.map(tasks, [&](..){..}, ..)`); Config::project_default()
   // adds SlotComputer::fill_slots.
   std::vector<std::string> task_entry_calls = {"map"};
-  // Also index `X::~X() {..}` (and in-class `~X() {..}`) under the
-  // base name X, so naming a type reaches its destructor. Only U1 asks
-  // for this; R1's call graph keeps today's edges.
-  bool index_destructors = false;
 };
 
 // True for identifiers that can never be a call reference (control

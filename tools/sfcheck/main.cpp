@@ -46,9 +46,9 @@ void usage(std::ostream& out) {
          "               [--write-baseline] [paths...]\n"
          "Lints src/, tools/ and examples/ for determinism (D1-D5), layering\n"
          "(L1) and task purity (R1, C1) violations, and reports every src/\n"
-         "definition no product reaches (U1; examples/, bench/, wallbench/\n"
-         "and tools/ are its roots). tests/ and bench/ are otherwise\n"
-         "unrestricted. Suppress a finding inline:\n"
+         "definition no product reaches (U1; bench/ and wallbench/ are read\n"
+         "as its roots only). tests/ are unrestricted. Suppress a finding\n"
+         "inline:\n"
          "  // sfcheck:allow(RULE): reason\n"
          "--baseline FILE fails only on findings absent from FILE;\n"
          "--write-baseline prints the current findings as a baseline image.\n";
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
         rels.push_back(to_rel(abs, root));
       }
     } else {
-      for (const char* sub : {"src", "tools", "examples", "bench", "wallbench"}) {
+      for (const char* sub : sf::lint::kIndexedTrees) {
         const fs::path dir = root / sub;
         if (!fs::exists(dir)) continue;
         for (const auto& entry : fs::recursive_directory_iterator(dir)) {

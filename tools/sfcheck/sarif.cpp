@@ -55,8 +55,7 @@ const RuleInfo kRules[] = {
     {"R1", "task functions must not reach a nondeterminism sink through any call chain"},
     {"C1", "task lambdas must be pure: no captured-state mutation, no 'mutable', no "
            "store/journal calls"},
-    {"U1", "every src/ definition is reachable from a product (examples/, bench/, "
-           "wallbench/, tools/)"},
+    {"U1", "every src/ definition is reachable from a product"},
     {"SUP", "sfcheck:allow suppressions must carry a reason"},
 };
 

@@ -15,7 +15,8 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Rules (file-local). The interprocedural rules R1/C1 live in
-// callgraph.cpp, the reachability rule U1 in unused.cpp; the lexer in lex.cpp; shared token sets in vocab.cpp.
+// callgraph.cpp, the reachability rule U1 in unused.cpp; the lexer in
+// lex.cpp; shared token sets in vocab.cpp.
 // ---------------------------------------------------------------------
 
 struct Finding {
@@ -254,8 +255,6 @@ Config Config::project_default() {
   cfg.task_entry_calls = {"map", "fill_slots"};
   cfg.serial_receivers = {"store", "journal"};
   cfg.executor_home = "src/dataflow/executor";
-  cfg.u1_roots = {"examples/", "bench/", "wallbench/", "tools/"};
-  cfg.u1_target = "src/";
   return cfg;
 }
 
@@ -273,9 +272,11 @@ bool is_scanned_path(const std::string& relpath) {
 }
 
 bool is_indexed_path(const std::string& relpath) {
-  return is_scanned_path(relpath) ||
-         (is_cpp_source(relpath) &&
-          (path_starts_with(relpath, "bench/") || path_starts_with(relpath, "wallbench/")));
+  if (!is_cpp_source(relpath)) return false;
+  for (const char* tree : kIndexedTrees) {
+    if (path_starts_with(relpath, tree)) return true;
+  }
+  return false;
 }
 
 std::string module_of(const std::string& relpath) {
@@ -393,7 +394,7 @@ ScanResult run(const std::vector<SourceFile>& all_files, const Config& cfg) {
     findings.push_back({f.file, f.line, f.rule, f.message, f.chain});
   }
   // U1: reachability from the products over every indexed file.
-  for (const InterprocFinding& f : run_unused(all_tokens, cfg)) {
+  for (const InterprocFinding& f : run_unused(all_tokens)) {
     findings.push_back({f.file, f.line, f.rule, f.message, f.chain});
   }
 

@@ -50,13 +50,12 @@
 //       (serial call order outside tasks is a store invariant);
 //   U1  least code: when the scan holds a `main`, every src/ definition
 //       must be reachable from a product. Roots are the identifiers of
-//       every file under examples/, bench/, wallbench/ and tools/; an
+//       every indexed file outside src/ (is_indexed_path); an
 //       identifier anywhere in a reached definition (signature,
 //       initializer list, body) reaches every definition of that base
 //       name. Edges are identifiers rather than calls so function
 //       values, constructors named by type, virtual overrides and
-//       TaskFn targets all count (see unused.cpp). bench/ and
-//       wallbench/ are indexed for U1 only;
+//       TaskFn targets all count (see unused.cpp);
 //   SUP suppressions must carry a reason: an inline
 //       `// sfcheck:allow(RULE): reason` with an empty reason is
 //       itself a violation (and suppresses nothing).
@@ -133,11 +132,6 @@ struct Config {
   // *implement* the task-function contract (accounting by design), so
   // they are not R1/C1 entry points.
   std::string executor_home = "src/dataflow/executor";
-  // U1: path prefixes of the product trees (every identifier in them
-  // is a root; empty disables the rule), and the prefix whose
-  // definitions must be reached from one.
-  std::vector<std::string> u1_roots;
-  std::string u1_target = "src/";
 
   // The summitfold tree's own layout and rules.
   static Config project_default();
@@ -151,8 +145,11 @@ struct ScanResult {
 // True for files sfcheck lints: .cpp/.hpp under src/, tools/ or
 // examples/. tests/ and bench/ are deliberately unrestricted.
 bool is_scanned_path(const std::string& relpath);
-// True for files the scan reads: the scanned paths plus .cpp/.hpp
-// under bench/ and wallbench/, which only U1 sees (as roots).
+// The trees a scan reads: the scanned ones plus bench/ and
+// wallbench/, which only U1 sees (as roots).
+inline constexpr const char* kIndexedTrees[] = {"src/", "tools/", "examples/", "bench/",
+                                                "wallbench/"};
+// True for the .cpp/.hpp files under kIndexedTrees.
 bool is_indexed_path(const std::string& relpath);
 
 // "src/geom/vec3.hpp" -> "geom"; "tools/sftrace/main.cpp" -> "sftrace";

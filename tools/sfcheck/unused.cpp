@@ -1,13 +1,13 @@
 // U1: every src/ definition must be reachable from a product.
 //
-// Roots are the identifiers of every file under the product trees
-// (examples/, bench/, wallbench/, tools/). An identifier reaches every
-// indexed definition sharing its base name, and a reached definition
-// contributes every identifier of its signature, initializer list and
-// body. Edges come from identifiers, not only from calls, so a function
-// passed as a value, a constructor named by its type, a virtual
-// override and a TaskFn target all count as uses: the rule may miss
-// dead code, but it never reports live code.
+// Roots are the identifiers of every indexed file outside src/: the
+// product trees examples/, bench/, wallbench/ and tools/. An identifier
+// reaches every indexed definition sharing its base name, and a reached
+// definition contributes every identifier of its signature, initializer
+// list and body. Edges come from identifiers, not only from calls, so a
+// function passed as a value, a constructor named by its type, a
+// virtual override and a TaskFn target all count as uses: the rule may
+// miss dead code, but it never reports live code.
 //
 // Three uses name nothing at the point where they run, so the index
 // attaches them to a name that does:
@@ -29,13 +29,6 @@ namespace {
 
 bool is_identifier(const std::string& s) {
   return !s.empty() && is_ident_start(s[0]);
-}
-
-bool has_prefix(const std::string& path, const std::vector<std::string>& prefixes) {
-  for (const auto& p : prefixes) {
-    if (path_starts_with(path, p)) return true;
-  }
-  return false;
 }
 
 // The identifiers of one declaration outside every definition, reached
@@ -120,12 +113,10 @@ void collect_decls(const std::vector<Token>& t, const std::vector<bool>& in_def,
 }  // namespace
 
 std::vector<InterprocFinding> run_unused(
-    const std::map<std::string, std::vector<Token>>& tokens, const Config& cfg) {
-  IndexOptions opt;
-  opt.index_destructors = true;
-  const SymbolIndex idx = build_index(tokens, opt);
+    const std::map<std::string, std::vector<Token>>& tokens) {
+  const SymbolIndex idx = build_index(tokens, IndexOptions{});
   std::vector<InterprocFinding> findings;
-  if (cfg.u1_roots.empty() || !idx.by_name.count("main")) return findings;
+  if (!idx.by_name.count("main")) return findings;
 
   std::multimap<std::string, std::size_t> decl_by_key;
   std::vector<DeclNode> decls;
@@ -138,7 +129,7 @@ std::vector<InterprocFinding> run_unused(
 
   for (const auto& [path, t] : tokens) {
     const auto& defs = idx.files.at(path).defs;
-    if (has_prefix(path, cfg.u1_roots)) {
+    if (is_indexed_path(path) && !path_starts_with(path, "src/")) {
       for (const Token& tk : t) {
         if (is_identifier(tk.text)) reach(tk.text);
       }
@@ -188,7 +179,7 @@ std::vector<InterprocFinding> run_unused(
   }
 
   for (const auto& [path, fi] : idx.files) {
-    if (!path_starts_with(path, cfg.u1_target)) continue;
+    if (!path_starts_with(path, "src/")) continue;
     for (std::size_t d = 0; d < fi.defs.size(); ++d) {
       const FunctionDef& def = fi.defs[d];
       if (reached_defs.count({path, d}) || nested.count({path, d})) continue;
@@ -197,9 +188,8 @@ std::vector<InterprocFinding> run_unused(
       f.line = def.line;
       f.rule = "U1";
       f.message = "'" + def.qual +
-                  "' is reached from no product (examples/, bench/, wallbench/, tools/); "
-                  "delete it, move it into the test that needs it, or allow it with the "
-                  "test or API that keeps it";
+                  "' is reached from no product; delete it, move it into the test that "
+                  "needs it, or allow it with the test or API that keeps it";
       findings.push_back(std::move(f));
     }
   }
