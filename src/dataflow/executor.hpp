@@ -136,8 +136,10 @@ class Executor {
     FaultKind fault = FaultKind::kNone;
   };
 
-  // Run one attempt of `batch` under `env`; append tasks whose outcome
-  // was not ok to `failed` in batch submission order.
+  // Run one attempt of `batch` under `env`, calling `fn` once per task
+  // in batch submission order (map() pairs attempts with tasks by
+  // position); append tasks whose outcome was not ok to `failed` in
+  // that order.
   virtual DataflowRunResult run_batch(const std::vector<TaskSpec>& batch, const TaskFn& fn,
                                       const BatchEnv& env, std::vector<TaskSpec>& failed) = 0;
 
