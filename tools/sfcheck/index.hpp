@@ -5,10 +5,9 @@
 // codebase actually uses (free functions, `Class::method` out-of-line
 // definitions, in-class bodies, ctor init lists, trailing return types,
 // destructors (under their class name), `auto name = [..](..){..}`
-// lambdas) and deliberately ignores the
-// rest. The index feeds the whole-repo call graph (callgraph.hpp) that
-// powers the interprocedural rules R1 and C1, and the reachability
-// rule U1.
+// lambdas) and deliberately ignores the rest. The index feeds the
+// whole-repo call graph (callgraph.hpp) that powers the interprocedural
+// rules R1 and C1, and the reachability rule U1.
 #pragma once
 
 #include <cstddef>
