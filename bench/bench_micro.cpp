@@ -124,11 +124,16 @@ void BM_Lddt(benchmark::State& state) {
 }
 BENCHMARK(BM_Lddt)->Arg(64)->Arg(256)->Arg(512);
 
+// One recycle's convergence signal: the in-place update of a trace's
+// bins, alternating between two traces so every update moves bins.
 void BM_Distogram(benchmark::State& state) {
   const auto a = bench_trace(static_cast<int>(state.range(0)));
+  const auto b = noisy(a, 2.0, 7);
+  Distogram d(a.size());
+  bool flip = false;
   for (auto _ : state) {
-    Distogram d(a);
-    benchmark::DoNotOptimize(d.bin(0, 1));
+    benchmark::DoNotOptimize(d.update(flip ? a : b));
+    flip = !flip;
   }
 }
 BENCHMARK(BM_Distogram)->Arg(128)->Arg(512);

@@ -17,6 +17,7 @@
 #include "geom/pdb_io.hpp"
 #include "seqsearch/feature_model.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace sf;
 
@@ -49,7 +50,8 @@ int main(int argc, char** argv) {
 
   // Every chain's reduced-library features, once; then each chain's
   // monomer models, once, the first time a pair within the memory budget
-  // asks for them (MonomerTable). Over-budget pairs predict nothing.
+  // asks for them (MonomerTable), on one thread per CPU. Over-budget
+  // pairs predict nothing.
   const PresetConfig preset = preset_reduced_db();
   std::vector<InputFeatures> features;
   features.reserve(records.size());
@@ -58,7 +60,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     for (std::size_t j = i + 1; j < records.size(); ++j) pairs.emplace_back(i, j);
   }
-  MonomerTable monomers(engine, records, features, preset, pairs);
+  SlotComputer compute;
+  MonomerTable monomers(engine, records, features, preset, pairs, compute);
 
   int tp = 0, fp = 0, fn = 0, tn = 0;
   bool wrote_example = false;

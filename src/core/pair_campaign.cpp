@@ -14,6 +14,7 @@
 #include "store/codec.hpp"
 #include "util/sealed_line.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sf {
 namespace {
@@ -107,7 +108,8 @@ PairCampaignReport PairCampaign::run(const std::vector<ProteinRecord>& records,
   // ones, and cost-aware keeps the expensive-per-byte ones. It then
   // docks its chains' monomer predictions, each made once per screen
   // (MonomerTable): the same result as predict_pair, which would
-  // re-predict both chains for every pair. Pairs resolved from the
+  // re-predict both chains for every pair. A chain's two models run on
+  // one thread per CPU in the affinity mask. Pairs resolved from the
   // journal or the store never ask the table, so their chains are not
   // predicted.
   ComplexEngineParams engine_params;
@@ -115,7 +117,8 @@ PairCampaignReport PairCampaign::run(const std::vector<ProteinRecord>& records,
   const ComplexEngine engine(*universe_, engine_params);
   const Interactome interactome(records, pair_config_.interactome_rate,
                                 pair_config_.interactome_seed);
-  MonomerTable monomers(engine, records, features, cfg.preset, pairs);
+  SlotComputer compute;
+  MonomerTable monomers(engine, records, features, cfg.preset, pairs, compute);
 
   const double slowdown = cfg.filesystem.io_slowdown(cfg.jobs_per_replica);
   const bool full = cfg.library == LibraryKind::kFull;

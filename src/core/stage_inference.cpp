@@ -9,18 +9,20 @@
 #include "store/artifact_store.hpp"
 #include "store/codec.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sf {
 namespace {
 
-// Runs all five models on one measured target and summarizes them as
-// the target's result record: per-model passes and OOM/convergence
-// masks, the top model's scores, and its structure. A target whose
-// every model OOMed is dropped, with top_model 0 as in its TargetResult.
+// Runs all five models on one measured target, on `compute`'s threads,
+// and summarizes them as the target's result record: per-model passes
+// and OOM/convergence masks, the top model's scores, and its structure.
+// A target whose every model OOMed is dropped, with top_model 0 as in
+// its TargetResult.
 store::PredictionArtifact predict_measured(const FoldingEngine& engine, const ProteinRecord& rec,
                                            const InputFeatures& features,
-                                           const PresetConfig& preset) {
-  std::vector<Prediction> preds = engine.predict_all_models(rec, features, preset);
+                                           const PresetConfig& preset, SlotComputer& compute) {
+  std::vector<Prediction> preds = engine.predict_all_models(rec, features, preset, &compute);
   store::PredictionArtifact a;
   for (std::size_t m = 0; m < preds.size(); ++m) {
     if (preds[m].out_of_memory) {
@@ -68,6 +70,9 @@ StageWaveOutcome InferenceStage::run_subset(const StageContext& ctx,
   const bool tracing = ctx.tracing();
 
   FoldingEngine engine(ctx.universe, cfg.engine);
+  // A computed target's five models run on one thread per CPU in the
+  // affinity mask; the resolve loop below stays serial.
+  SlotComputer compute;
 
   // Campaign-global decisions, fixed once regardless of how the record
   // stream is sliced into waves: the quality-measured subset (a
@@ -119,7 +124,9 @@ StageWaveOutcome InferenceStage::run_subset(const StageContext& ctx,
     tr.measured = true;
 
     const store::ArtifactKey key = stage_artifact_key(cfg, StageKind::kInference, rec);
-    const auto compute = [&] { return predict_measured(engine, rec, features[i], cfg.preset); };
+    const auto predict = [&] {
+      return predict_measured(engine, rec, features[i], cfg.preset, compute);
+    };
     const auto put = [&](const store::PredictionArtifact& art) {
       ctx.store->put(key, rec.sequence.id() + "/prediction", store::encode_prediction(art),
                      modeled_structure_bytes(rec.length()));
@@ -135,7 +142,7 @@ StageWaveOutcome InferenceStage::run_subset(const StageContext& ctx,
              !needs_structure || art.has_structure;
     };
     store::PredictionArtifact a =
-        resolve(journal, i, ctx.store, key, store::decode_prediction, compute, put, usable)
+        resolve(journal, i, ctx.store, key, store::decode_prediction, predict, put, usable)
             .artifact;
 
     // Journal row, stored artifact, or fresh prediction, the record

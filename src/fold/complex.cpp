@@ -164,8 +164,9 @@ ComplexPrediction ComplexEngine::assemble(const ProteinRecord& a, const ProteinR
 MonomerTable::MonomerTable(const ComplexEngine& engine, const std::vector<ProteinRecord>& records,
                            const std::vector<InputFeatures>& features,
                            const PresetConfig& preset,
-                           const std::vector<std::pair<std::size_t, std::size_t>>& pairs)
-    : engine_(engine), records_(records), features_(features), preset_(preset),
+                           const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+                           SlotComputer& compute)
+    : engine_(engine), records_(records), features_(features), preset_(preset), compute_(compute),
       chains_(records.size()) {
   for (const auto& [a, b] : pairs) {
     if (engine.combined_out_of_memory(records[a], records[b], preset)) continue;
@@ -183,7 +184,7 @@ const Prediction& MonomerTable::get(std::size_t chain, std::size_t side) {
       if (c.used[s]) wanted.push_back(models[s]);
     }
     auto preds = engine_.monomer_engine().predict_models(records_[chain], features_[chain],
-                                                         wanted, preset_);
+                                                         wanted, preset_, &compute_);
     for (std::size_t s = 0, k = 0; s < 2; ++s) {
       if (c.used[s]) c.slot[s] = std::move(preds[k++]);
     }

@@ -127,14 +127,16 @@ class ComplexEngine {
 // against its chain b's model-2 prediction (ComplexEngine::assemble), so
 // a chain has two slots, one per side of a pair. A slot is used when
 // some pair within the memory budget puts the chain on that side; a
-// chain's used slots fill together, from one native render
-// (FoldingEngine::predict_models), the first time either is asked for.
-// The table refers to its constructor arguments, which must outlive it.
+// chain's used slots fill together, from one native render, on
+// `compute`'s threads (FoldingEngine::predict_models), the first time
+// either is asked for. The table refers to its constructor arguments,
+// which must outlive it.
 class MonomerTable {
  public:
   MonomerTable(const ComplexEngine& engine, const std::vector<ProteinRecord>& records,
                const std::vector<InputFeatures>& features, const PresetConfig& preset,
-               const std::vector<std::pair<std::size_t, std::size_t>>& pairs);
+               const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+               SlotComputer& compute);
 
   // The prediction of `chain` on `side` (0: chain a, 1: chain b) of a
   // pair within the memory budget.
@@ -150,6 +152,7 @@ class MonomerTable {
   const std::vector<ProteinRecord>& records_;
   const std::vector<InputFeatures>& features_;
   const PresetConfig& preset_;
+  SlotComputer& compute_;
   std::vector<Chain> chains_;
 };
 

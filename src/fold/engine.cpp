@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "fold/memory_model.hpp"
 #include "geom/backbone.hpp"
@@ -9,6 +10,7 @@
 #include "native/render.hpp"
 #include "score/lddt.hpp"
 #include "score/tm_score.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sf {
 
@@ -167,26 +169,28 @@ Prediction FoldingEngine::predict(const ProteinRecord& record, const InputFeatur
 std::vector<Prediction> FoldingEngine::predict_models(const ProteinRecord& record,
                                                       const InputFeatures& features,
                                                       const std::vector<ModelWeights>& models,
-                                                      const PresetConfig& preset) const {
-  std::vector<Prediction> preds;
-  preds.reserve(models.size());
+                                                      const PresetConfig& preset,
+                                                      SlotComputer* compute) const {
+  std::vector<Prediction> preds(models.size());
   // Fast-fail before paying for the native build.
   if (inference_memory_gb(record.length(), preset.ensembles) > params_.memory_budget_gb) {
-    for (const auto& model : models) {
-      Prediction pred;
-      pred.model_id = model.model_id;
-      pred.ensembles = preset.ensembles;
-      pred.out_of_memory = true;
-      preds.push_back(std::move(pred));
+    for (std::size_t k = 0; k < models.size(); ++k) {
+      preds[k].model_id = models[k].model_id;
+      preds[k].ensembles = preset.ensembles;
+      preds[k].out_of_memory = true;
     }
     return preds;
   }
   if (models.empty()) return preds;
-  // One native build shared by every model.
+  // One native build shared by every model; each model writes only its
+  // own slot.
   const Structure native = build_native_structure(*universe_, record);
-  for (const auto& model : models) {
-    preds.push_back(predict_with_native(record, features, model, preset, native));
-  }
+  SlotComputer inline_compute(1);
+  std::vector<std::size_t> order(models.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  (compute ? *compute : inline_compute).fill_slots(order, [&](std::size_t k) {
+    preds[k] = predict_with_native(record, features, models[k], preset, native);
+  });
   return preds;
 }
 
@@ -227,7 +231,7 @@ Prediction FoldingEngine::predict_with_native(const ProteinRecord& record,
   const bool dynamic = preset.dynamic_recycling;
 
   double excess = params_.init_excess;
-  Distogram prev_disto;
+  Distogram disto(n);
   Rng noise_rng = rng.split("recycle_noise");
   std::vector<Vec3> ca(n);
 
@@ -257,18 +261,16 @@ Prediction FoldingEngine::predict_with_native(const ProteinRecord& record,
     enforce_chain_continuity(ca, 10);
     resolve_steric_overlap(ca, 6, params_.declash_target_A, params_.declash_step);
     set_coords_from_ca_offsets(current, native, ca);
-    Distogram disto(current.ca_coords());
+    // `ca` is the CA trace just set on `current`.
+    const double change = params_.distogram_gain * disto.update(ca);
     if (r > 0) {
-      const double change = params_.distogram_gain * disto.mean_abs_change(prev_disto);
       pred.trace.distogram_changes.push_back(change);
       pred.trace.recycles_run = r;
       if (dynamic && r >= preset.min_dynamic_recycles && change < preset.convergence_tol_A) {
         pred.trace.converged = true;
-        prev_disto = std::move(disto);
         break;
       }
     }
-    prev_disto = std::move(disto);
   }
 
   // Full steric + continuity resolution on the final coordinates
@@ -370,8 +372,9 @@ Prediction FoldingEngine::predict_with_native(const ProteinRecord& record,
 
 std::vector<Prediction> FoldingEngine::predict_all_models(const ProteinRecord& record,
                                                           const InputFeatures& features,
-                                                          const PresetConfig& preset) const {
-  return predict_models(record, features, five_models(), preset);
+                                                          const PresetConfig& preset,
+                                                          SlotComputer* compute) const {
+  return predict_models(record, features, five_models(), preset, compute);
 }
 
 int top_model_index(const std::vector<Prediction>& preds) {

@@ -44,6 +44,8 @@
 
 namespace sf {
 
+class SlotComputer;
+
 // One of the five released model weight sets. Models 1-2 consume
 // structural templates; 3-5 are sequence-only (§3.2.1).
 struct ModelWeights {
@@ -155,19 +157,25 @@ class FoldingEngine {
 
   // Any subset of the five models for one target, in the order given,
   // from one native build (none when the target is over the memory
-  // budget or `models` is empty). Each prediction is bit-identical to
-  // predict() for that model.
+  // budget or `models` is empty). The native renders on the calling
+  // thread; the models then run on `compute` (one thread per CPU in its
+  // affinity mask for a default SlotComputer), each writing only its
+  // own slot, or inline in the order given when `compute` is null. Each
+  // prediction is bit-identical to predict() for that model at any
+  // thread count.
   std::vector<Prediction> predict_models(const ProteinRecord& record,
                                          const InputFeatures& features,
                                          const std::vector<ModelWeights>& models,
-                                         const PresetConfig& preset) const;
+                                         const PresetConfig& preset,
+                                         SlotComputer* compute = nullptr) const;
 
   // All five models for a target, in model order: predict_models over
   // five_models(). top_model_index picks the one the paper keeps (the
   // highest pTMS, §4).
   std::vector<Prediction> predict_all_models(const ProteinRecord& record,
                                              const InputFeatures& features,
-                                             const PresetConfig& preset) const;
+                                             const PresetConfig& preset,
+                                             SlotComputer* compute = nullptr) const;
 
   // Effective hardness in [0,1] used for floors and rates (exposed for
   // tests and calibration).

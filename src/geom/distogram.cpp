@@ -6,17 +6,7 @@
 
 namespace sf {
 
-Distogram::Distogram(const std::vector<Vec3>& ca) : n_(ca.size()) {
-  bins_.resize(n_ * n_, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    bins_[i * n_ + i] = 0;
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      const std::uint8_t b = distance_to_bin(distance(ca[i], ca[j]));
-      bins_[i * n_ + j] = b;
-      bins_[j * n_ + i] = b;
-    }
-  }
-}
+Distogram::Distogram(std::size_t n) : n_(n), bins_(n < 2 ? 0 : n * (n - 1) / 2, 0) {}
 
 std::uint8_t Distogram::distance_to_bin(double d) {
   const double w = bin_width();
@@ -24,19 +14,21 @@ std::uint8_t Distogram::distance_to_bin(double d) {
   return static_cast<std::uint8_t>(std::clamp<long>(raw, 0, kBins - 1));
 }
 
-double Distogram::mean_abs_change(const Distogram& other) const {
-  if (n_ != other.n_) throw std::invalid_argument("mean_abs_change: residue count mismatch");
+double Distogram::update(const std::vector<Vec3>& ca) {
+  if (ca.size() != n_) throw std::invalid_argument("Distogram::update: residue count mismatch");
   if (n_ < 2) return 0.0;
-  double sum = 0.0;
-  std::size_t pairs = 0;
+  // Each |delta bin| is at most 63, so the integer sum is exact; as a
+  // double it equals a double accumulation of the same terms.
+  std::uint64_t sum = 0;
+  std::uint8_t* bin = bins_.data();
   for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      sum += std::abs(static_cast<int>(bins_[i * n_ + j]) -
-                      static_cast<int>(other.bins_[i * n_ + j]));
-      ++pairs;
+    for (std::size_t j = i + 1; j < n_; ++j, ++bin) {
+      const std::uint8_t b = distance_to_bin(distance(ca[i], ca[j]));
+      sum += static_cast<std::uint64_t>(std::abs(static_cast<int>(b) - static_cast<int>(*bin)));
+      *bin = b;
     }
   }
-  return sum / static_cast<double>(pairs) * bin_width();
+  return static_cast<double>(sum) / static_cast<double>(bins_.size()) * bin_width();
 }
 
 }  // namespace sf

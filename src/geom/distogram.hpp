@@ -16,6 +16,10 @@
 
 namespace sf {
 
+// The binned distances of the latest recycle's CA trace, one byte per
+// pair i < j (the only pairs the change reads), updated in place: one
+// n(n-1)/2 buffer per prediction instead of a mirrored n x n matrix per
+// recycle.
 class Distogram {
  public:
   // AlphaFold bins distances into 64 bins over [2.3125, 21.6875] A; we use
@@ -24,24 +28,25 @@ class Distogram {
   static constexpr double kMinDist = 2.3125;
   static constexpr double kMaxDist = 21.6875;
 
-  Distogram() = default;
-  explicit Distogram(const std::vector<Vec3>& ca);
+  // Bins for traces of `n` residues, all 0 until the first update().
+  explicit Distogram(std::size_t n);
 
-  // Bin index of pair (i, j); distances beyond the range clamp to the
-  // edge bins, as in AlphaFold's final catch-all bin.
-  std::uint8_t bin(std::size_t i, std::size_t j) const { return bins_[i * n_ + j]; }
+  // Bins `ca` (n points) over the stored bins and returns the mean
+  // absolute difference of pair-bin indices from the previous contents,
+  // scaled by bin width so the result is in Angstrom units (comparable
+  // to ColabFold's distogram tolerance values); 0 below two residues.
+  // The first update compares against the all-0 start, which is no
+  // recycle, so its result carries no convergence meaning.
+  double update(const std::vector<Vec3>& ca);
 
+  // Distances beyond the range clamp to the edge bins, as in
+  // AlphaFold's final catch-all bin.
   static std::uint8_t distance_to_bin(double d);
   static double bin_width() { return (kMaxDist - kMinDist) / kBins; }
 
-  // Mean absolute difference of pair-bin indices, scaled by bin width so
-  // the result is in Angstrom units (comparable to ColabFold's distogram
-  // tolerance values). Structures must have equal residue counts.
-  double mean_abs_change(const Distogram& other) const;
-
  private:
-  std::size_t n_ = 0;
-  std::vector<std::uint8_t> bins_;
+  std::size_t n_;
+  std::vector<std::uint8_t> bins_;  // row-major upper triangle, i < j
 };
 
 }  // namespace sf

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 namespace sf {
 
@@ -36,12 +35,18 @@ MinimizeResult minimize_lbfgs(const ForceField& ff, std::vector<Vec3>& coords,
   ++res.energy_evaluations;
   res.initial_energy = energy;
 
+  // The last `lbfgs_history` curvature pairs, oldest first from `head`,
+  // in a ring allocated once.
   struct Pair {
     std::vector<Vec3> s;  // x_{k+1} - x_k
     std::vector<Vec3> y;  // g_{k+1} - g_k
-    double rho;           // 1 / (y . s)
+    double rho = 0.0;     // 1 / (y . s)
   };
-  std::deque<Pair> history;
+  const auto capacity = static_cast<std::size_t>(std::max(0, options.lbfgs_history));
+  std::vector<Pair> ring(capacity, Pair{std::vector<Vec3>(n), std::vector<Vec3>(n)});
+  std::size_t head = 0;
+  std::size_t count = 0;
+  const auto pair_at = [&](std::size_t h) -> Pair& { return ring[(head + h) % capacity]; };
 
   std::vector<Vec3> direction(n);
   std::vector<Vec3> x_new(n);
@@ -55,16 +60,16 @@ MinimizeResult minimize_lbfgs(const ForceField& ff, std::vector<Vec3>& coords,
     }
     // Two-loop recursion: direction = -H * grad.
     direction = grad;
-    alphas.assign(history.size(), 0.0);
-    for (std::size_t h = history.size(); h-- > 0;) {
-      const Pair& p = history[h];
+    alphas.assign(count, 0.0);
+    for (std::size_t h = count; h-- > 0;) {
+      const Pair& p = pair_at(h);
       const double alpha = p.rho * dot_all(p.s, direction);
       alphas[h] = alpha;
       axpy(direction, -alpha, p.y);
     }
     // Initial Hessian scaling gamma = (s.y)/(y.y) from the latest pair.
-    if (!history.empty()) {
-      const Pair& last = history.back();
+    if (count > 0) {
+      const Pair& last = pair_at(count - 1);
       const double yy = dot_all(last.y, last.y);
       if (yy > 1e-12) {
         const double gamma = 1.0 / (last.rho * yy);
@@ -77,8 +82,8 @@ MinimizeResult minimize_lbfgs(const ForceField& ff, std::vector<Vec3>& coords,
         for (auto& d : direction) d *= 1.0 / gnorm;
       }
     }
-    for (std::size_t h = 0; h < history.size(); ++h) {
-      const Pair& p = history[h];
+    for (std::size_t h = 0; h < count; ++h) {
+      const Pair& p = pair_at(h);
       const double beta = p.rho * dot_all(p.y, direction);
       axpy(direction, alphas[h] - beta, p.s);
     }
@@ -87,7 +92,7 @@ MinimizeResult minimize_lbfgs(const ForceField& ff, std::vector<Vec3>& coords,
     double dir_dot_grad = dot_all(direction, grad);
     if (dir_dot_grad >= 0.0) {
       // Not a descent direction (stale curvature); restart with -grad.
-      history.clear();
+      count = 0;
       direction = grad;
       for (auto& d : direction) d = -d;
       dir_dot_grad = -dot_all(grad, grad);
@@ -112,19 +117,23 @@ MinimizeResult minimize_lbfgs(const ForceField& ff, std::vector<Vec3>& coords,
     }
     if (!accepted) break;  // line search failed: local flatness/noise
 
-    // Curvature update.
-    Pair pair;
-    pair.s.resize(n);
-    pair.y.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pair.s[i] = x_new[i] - coords[i];
-      pair.y[i] = g_new[i] - grad[i];
-    }
-    const double ys = dot_all(pair.y, pair.s);
-    if (ys > 1e-10) {
+    // Curvature update. ys is taken before any write, so a rejected
+    // pair leaves the oldest one in place; an accepted one replaces it
+    // once the ring is full.
+    double ys = 0.0;
+    for (std::size_t i = 0; i < n; ++i) ys += (g_new[i] - grad[i]).dot(x_new[i] - coords[i]);
+    if (ys > 1e-10 && capacity > 0) {
+      if (count == capacity) {
+        head = (head + 1) % capacity;
+      } else {
+        ++count;
+      }
+      Pair& pair = pair_at(count - 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        pair.s[i] = x_new[i] - coords[i];
+        pair.y[i] = g_new[i] - grad[i];
+      }
       pair.rho = 1.0 / ys;
-      history.push_back(std::move(pair));
-      if (static_cast<int>(history.size()) > options.lbfgs_history) history.pop_front();
     }
 
     const double delta_e = energy - e_new;

@@ -7,10 +7,17 @@
 #ifdef __linux__
 #include <sched.h>
 #endif
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 namespace sf {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+#ifdef __GLIBC__
+  // One heap (see the header), set before the first worker allocates.
+  [[maybe_unused]] static const int one_heap = mallopt(M_ARENA_MAX, 1);
+#endif
   num_threads = std::max<std::size_t>(1, num_threads);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {

@@ -19,11 +19,9 @@
 //    thread to), resumes included, and a stored alignment the peek
 //    counts on but cannot read is recomputed inline.
 #include <gtest/gtest.h>
-#include <sched.h>
 
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -45,7 +43,7 @@
 #include "store/key.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
-#include "util/thread_pool.hpp"
+#include "pinned_cpus.hpp"
 #include "scratch_dir.hpp"
 
 namespace sf {
@@ -373,52 +371,6 @@ TEST(ClusterCampaign, StoreOffColdAndWarmAreByteIdenticalAndWarmComputesZero) {
   EXPECT_EQ(with_warm.cluster.aligns_computed, 0u);
   EXPECT_EQ(with_warm.cluster.aligns_from_store, with_warm.cluster.aligned_pairs);
   expect_cluster_eq(plain.cluster, with_warm.cluster);
-}
-
-// ------------------------------------------------------------------ //
-// Thread counts.
-// ------------------------------------------------------------------ //
-
-// Pins the calling thread to the first `n` CPUs of its affinity mask
-// while in scope; the cluster stage sizes its SlotComputer from that
-// mask, so a campaign run here computes on n threads.
-class PinnedCpus {
- public:
-  explicit PinnedCpus(std::size_t n) {
-    CPU_ZERO(&saved_);
-    EXPECT_EQ(sched_getaffinity(0, sizeof(saved_), &saved_), 0);
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    std::size_t taken = 0;
-    for (int cpu = 0; cpu < CPU_SETSIZE && taken < n; ++cpu) {
-      if (CPU_ISSET(cpu, &saved_)) {
-        CPU_SET(cpu, &set);
-        ++taken;
-      }
-    }
-    EXPECT_EQ(taken, n);
-    EXPECT_EQ(sched_setaffinity(0, sizeof(set), &set), 0);
-    EXPECT_EQ(affinity_cpus(), n);
-  }
-  ~PinnedCpus() { sched_setaffinity(0, sizeof(saved_), &saved_); }
-
-  PinnedCpus(const PinnedCpus&) = delete;
-  PinnedCpus& operator=(const PinnedCpus&) = delete;
-
- private:
-  cpu_set_t saved_;
-};
-
-// The counts in `fewer` below the CPUs in the affinity mask, then all
-// of those CPUs (the stage's default).
-std::vector<std::size_t> thread_counts(std::initializer_list<std::size_t> fewer) {
-  const std::size_t all = affinity_cpus();
-  std::vector<std::size_t> out;
-  for (const std::size_t n : fewer) {
-    if (n < all) out.push_back(n);
-  }
-  out.push_back(all);
-  return out;
 }
 
 // ------------------------------------------------------------------ //

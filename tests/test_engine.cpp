@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "bio/species.hpp"
 #include "fold/memory_model.hpp"
+#include "geom/distogram.hpp"
 #include "geom/violations.hpp"
 #include "seqsearch/feature_model.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sf {
 namespace {
@@ -86,6 +90,56 @@ TEST(FoldingEngine, PredictModelsMatchesPredict) {
   EXPECT_TRUE(oom[0].structure.empty());
   expect_same_prediction(oom[0], oom_engine.predict(rec, f, models[1], preset));
   expect_same_prediction(oom[1], oom_engine.predict(rec, f, models[4], preset));
+}
+
+// The models of a target run on the caller's SlotComputer: at 1, 2, 3
+// and 4 threads, and for the degenerate one- and two-residue targets,
+// every prediction equals the inline path's bit for bit. A one-residue
+// trace has no residue pair, so its distogram never changes; a
+// two-residue trace has one, whose CA-CA distance the continuity pass
+// holds near 3.8 A, just under the 3.83 A bin edge, so a recycle may
+// move it by whole bins and nothing finer.
+TEST(FoldingEngine, ModelsOnAnyThreadCountEqualTheInlinePath) {
+  EngineWorld w;
+  const PresetConfig preset = preset_genome();
+  std::vector<ProteinRecord> targets = {w.records[0], w.records[7]};
+  for (const std::size_t length : {1, 2}) {
+    ProteinRecord tiny = w.records[3];
+    tiny.sequence = Sequence(format("%s_len%zu", tiny.sequence.id().c_str(), length),
+                             tiny.sequence.residues().substr(0, length));
+    targets.push_back(tiny);
+  }
+  std::vector<std::vector<Prediction>> inline_preds;
+  for (const auto& rec : targets) {
+    inline_preds.push_back(w.engine.predict_all_models(rec, w.feats(rec), preset));
+    ASSERT_EQ(inline_preds.back().size(), 5u);
+    if (rec.length() > 2) continue;
+    const double one_bin = w.engine.params().distogram_gain * Distogram::bin_width();
+    for (const Prediction& p : inline_preds.back()) {
+      EXPECT_FALSE(p.out_of_memory);
+      EXPECT_EQ(p.structure.size(), static_cast<std::size_t>(rec.length()));
+      ASSERT_FALSE(p.trace.distogram_changes.empty());
+      for (const double change : p.trace.distogram_changes) {
+        if (rec.length() == 1) {
+          EXPECT_EQ(change, 0.0);
+        } else {
+          EXPECT_EQ(change / one_bin, std::round(change / one_bin));
+        }
+      }
+    }
+  }
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    SlotComputer compute(threads);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      SCOPED_TRACE(format("%zu threads, %s", threads, targets[t].sequence.id().c_str()));
+      const auto preds =
+          w.engine.predict_all_models(targets[t], w.feats(targets[t]), preset, &compute);
+      ASSERT_EQ(preds.size(), 5u);
+      for (std::size_t m = 0; m < preds.size(); ++m) {
+        expect_same_prediction(preds[m], inline_preds[t][m]);
+      }
+    }
+  }
 }
 
 TEST(Engine, FiveModelsHaveExpectedShape) {

@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <sstream>
+#include <string>
 
+#include "core/journal.hpp"
 #include "core/report.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_io.hpp"
+#include "store/artifact_store.hpp"
+#include "util/file_io.hpp"
+#include "pinned_cpus.hpp"
+#include "scratch_dir.hpp"
 
 namespace sf {
 namespace {
@@ -140,6 +150,77 @@ TEST(Pipeline, MeasuredSubsetFeedsUnmeasuredDurations) {
   }
   EXPECT_EQ(measured, 10);
   EXPECT_GT(unmeasured_with_recycles, 0);
+}
+
+// What one journaled, traced, store-backed campaign leaves behind.
+struct CampaignBytes {
+  std::string out;
+  std::string journal;
+  std::string trace;
+  std::map<std::string, std::string> store;
+};
+
+CampaignBytes run_recorded(const PipelineWorld& w, const PipelineConfig& cfg) {
+  const std::string dir = test_scratch_dir() + "recorded/";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CampaignBytes b;
+  obs::TraceRecorder recorder;
+  {
+    CampaignJournal journal(dir + "campaign.sfj");
+    store::ArtifactStore store(dir + "store");
+    store.open();
+    const CampaignReport rep = Pipeline(w.universe, cfg).run(w.records, &journal, &recorder, &store);
+    std::ostringstream out;
+    print_campaign(out, rep, w.profile);
+    b.out = out.str();
+  }
+  b.journal = read_file(dir + "campaign.sfj");
+  b.trace = obs::render_chrome_trace(recorder.doc());
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir + "store")) {
+    if (e.is_regular_file()) b.store[e.path().filename().string()] = read_file(e.path().string());
+  }
+  return b;
+}
+
+// A campaign in which every target is over the engine's memory budget
+// (each model task dies and reruns on the high-memory pool; no target
+// is kept for relaxation) completes, and leaves the same bytes on one
+// CPU as on every CPU, as does the ordinary campaign.
+TEST(Pipeline, AllOomCampaignCompletesWithTheSameBytesOnOneCpuAndEveryCpu) {
+  PipelineWorld w;
+  w.records.resize(24);
+  PipelineConfig all_oom = w.small_config();
+  all_oom.quality_sample = 12;
+  all_oom.engine.memory_budget_gb = 0.0;
+  PipelineConfig ordinary = all_oom;
+  ordinary.engine = EngineParams{};
+  for (const PipelineConfig* cfg : {&all_oom, &ordinary}) {
+    const bool oom = cfg == &all_oom;
+    SCOPED_TRACE(oom ? "all OOM" : "ordinary");
+    std::vector<CampaignBytes> runs;
+    for (const std::size_t threads : thread_counts({1})) {
+      const PinnedCpus pinned(threads);
+      runs.push_back(run_recorded(w, *cfg));
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      EXPECT_EQ(runs.front().out, runs.back().out);
+      EXPECT_EQ(runs.front().journal, runs.back().journal);
+      EXPECT_EQ(runs.front().trace, runs.back().trace);
+      EXPECT_EQ(runs.front().store, runs.back().store);
+    }
+    EXPECT_FALSE(runs.front().store.empty());
+    const CampaignReport rep = Pipeline(w.universe, *cfg).run(w.records);
+    EXPECT_EQ(rep.inference.tasks, 24 * 5);
+    int oom_targets = 0;
+    for (const auto& t : rep.targets) oom_targets += t.oom ? 1 : 0;
+    EXPECT_EQ(oom_targets, oom ? 24 : 0);
+    EXPECT_EQ(rep.plddt.count(), oom ? 0u : 12u);
+    if (oom) {
+      EXPECT_EQ(rep.relaxation.tasks, 0);
+    } else {
+      EXPECT_GT(rep.relaxation.tasks, 0);
+    }
+  }
 }
 
 }  // namespace
